@@ -84,9 +84,14 @@ def _fault_specs(schedule, crash_every, hang_duration):
     crash = FaultSpec(kind="crash", window=4, every=crash_every)
     if schedule == "crash":
         return [crash]
+    # Windows 4 / 5 / 6 sit on distinct affinity slots (window % workers)
+    # for any pool of three or more workers, so each spec lands in its
+    # own fused unit: a spec targeting any member of a fused unit
+    # matches the whole launch, and specs sharing a slot would advance
+    # each other's counters.
     return [
         crash,
-        FaultSpec(kind="hang", window=1, nth=2, duration=hang_duration),
+        FaultSpec(kind="hang", window=5, nth=2, duration=hang_duration),
         FaultSpec(kind="raise", window=6, nth=3),
     ]
 
@@ -100,12 +105,7 @@ def _run_stream(frames, queries, k, backend, pool_workers, schedule,
     config = StreamGridConfig(
         splitting=_SPLITTING, executor=executor,
         executor_workers=None if backend == "serial" else pool_workers)
-    # Per-window dispatch: the fault schedule addresses individual
-    # windows (a fused unit carries only its lowest member's id, so
-    # window-targeted specs would stop matching).  Fused-unit fault
-    # recovery is covered by tests/test_arena_fusion.py.
-    session_cfg = StreamingSessionConfig(unit_timeout=unit_timeout,
-                                         arena_fusion=False)
+    session_cfg = StreamingSessionConfig(unit_timeout=unit_timeout)
     with StreamSession(config, k=k, session=session_cfg) as session:
         outcomes = session.run(frames, queries=queries)
         return (outcomes, session.stats, session.effective_executor,
@@ -125,8 +125,9 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
         workers=None, output=_DEFAULT_OUTPUT, check=True,
         results_dir=RESULTS_DIR):
     """Run the fault-recovery comparison; returns (and writes) the payload."""
+    # Three slots at least: the mixed schedule's specs need one each.
     pool_workers = workers if workers is not None \
-        else max(2, resolve_worker_count(None))
+        else max(3, resolve_worker_count(None))
     frames = _rolling_frames(n_frames, n_points)
     queries = _frame_queries(frames, n_queries)
 

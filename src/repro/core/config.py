@@ -156,12 +156,6 @@ class StreamingSessionConfig:
     Rebuild order, content versions, and results are bit-equal either
     way; disable it to force the fully synchronous repair of earlier
     seeds.
-
-    ``arena_fusion`` lets the scheduler fuse compatible per-window
-    units into single multi-window
-    :class:`~repro.spatial.kdtree.TraversalArena` launches (see
-    :mod:`repro.runtime`).  Results are bit-equal either way; disable
-    it to force strict one-launch-per-window dispatch.
     """
 
     drift_tolerance: float = 0.2
@@ -172,7 +166,6 @@ class StreamingSessionConfig:
     cache_max_entries: int = 256
     cache_scope: str = "auto"
     pipeline_repair: bool = True
-    arena_fusion: bool = True
     unit_timeout: Optional[float] = None
     max_retries: int = 2
     degradation: bool = True

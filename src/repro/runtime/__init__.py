@@ -43,17 +43,21 @@ that implements:
 
 Arena fusion (one lockstep launch per batch)
 --------------------------------------------
-The scheduler's window-grouped dispatch fuses compatible per-window
-units — same kind and parameters, untraced, resolving to the traverse
-engine — into single ``fused_knn`` / ``fused_range`` units whose
-queries run as *lanes* of one lockstep traversal over the concatenated
-node arrays of all member windows.  The interpreter's fixed numpy cost
-per traversal iteration is paid once per fused batch instead of once
-per window, which is the paper's parallel traversal-unit dispatch
-amortized in software.  Results are scattered back per member before
-anyone above the scheduler sees them, and are **bit-equal** to
-per-window dispatch on every backend; the result cache, retry/ticket
-supervision and pipelined-repair barriers are untouched.
+There is one lockstep traversal path: a
+:class:`~repro.spatial.kdtree.TraversalArena`.  A single window's
+lockstep batch is a one-member arena, and fusion is how the scheduler
+always dispatches: every dispatch fuses compatible per-window units —
+same kind and parameters, untraced, resolving to the traverse engine,
+on the same executor slot — into single ``fused_knn`` /
+``fused_range`` units whose queries run as *lanes* of one lockstep
+traversal over the concatenated node arrays of all member windows.
+The interpreter's fixed numpy cost per traversal iteration is paid
+once per fused batch instead of once per window, which is the paper's
+parallel traversal-unit dispatch amortized in software.  Results are
+scattered back per member before anyone above the scheduler sees them,
+and are **bit-equal** to each window's scalar per-query kernel on
+every backend; the result cache, retry/ticket supervision and
+pipelined-repair barriers are untouched.
 :class:`~repro.runtime.executor.RuntimeStats` counts
 ``arena_launches`` / ``arena_units_fused`` / ``arena_bytes_viewed``.
 

@@ -27,6 +27,7 @@ import atexit
 import itertools
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_mod
 import time
@@ -611,7 +612,7 @@ class ProcessShardPool(Executor):
         self._n_workers = resolve_worker_count(n_workers)
         self._procs: Optional[List] = None
         self._inboxes = None
-        self._outbox = None
+        self._outboxes = None
         self._context = None
         self._fallback: Optional[SerialExecutor] = None
         self._degraded: Optional[Executor] = None
@@ -649,7 +650,7 @@ class ProcessShardPool(Executor):
 
     def _worker_args(self, slot: int) -> tuple:
         """Arguments for :meth:`_worker_target` on *slot*."""
-        return (self._state, self._inboxes[slot], self._outbox)
+        return (self._state, self._inboxes[slot], self._outboxes[slot])
 
     def _encode_unit(self, seq: int, unit: WorkUnit):
         """The dispatch payload for *unit* (message slot 3)."""
@@ -666,7 +667,25 @@ class ProcessShardPool(Executor):
         """Tear down per-batch transport resources (always runs)."""
 
     def _spawn_worker(self, slot: int) -> None:
-        """Fork one worker for *slot*, inheriting the current state."""
+        """Fork one worker for *slot* on fresh queues, inheriting the
+        current state.
+
+        A dead or killed worker may leave queued dispatches (or an
+        unconsumed shutdown sentinel) in its inbox, and one killed while
+        its queue feeder held the outbox's cross-process write lock
+        leaves that lock held for good.  Every spawn therefore starts
+        from a new inbox and outbox, and each slot owns its outbox, so
+        an orphaned lock can only ever sit on the queue being replaced
+        rather than stall every other worker's results.
+        """
+        for queue in (self._inboxes[slot], self._outboxes[slot]):
+            if queue is not None:
+                try:
+                    queue.close()
+                except (OSError, ValueError):
+                    pass
+        self._inboxes[slot] = self._context.Queue()
+        self._outboxes[slot] = self._context.Queue()
         proc = self._context.Process(
             target=self._worker_target(),
             args=self._worker_args(slot),
@@ -676,7 +695,7 @@ class ProcessShardPool(Executor):
         self.spawn_count += 1
 
     def _stop_worker(self, slot: int) -> None:
-        """Shut down one worker slot; its queues stay reusable."""
+        """Shut down one worker slot (its next spawn gets new queues)."""
         proc = self._procs[slot]
         if proc is None:
             return
@@ -692,10 +711,9 @@ class ProcessShardPool(Executor):
     def _kill_worker(self, slot: int) -> None:
         """Hard-stop one slot (crashed or hung) without the handshake.
 
-        The dead slot's inbox may still hold queued units (and a hung
-        worker never consumed them), so it is replaced wholesale — a
-        respawned worker must start from an empty queue or it would
-        replay stale dispatches.
+        The slot's queues are left for :meth:`_spawn_worker` to
+        replace: a respawned worker must start from an empty inbox or
+        it would replay stale dispatches.
         """
         proc = self._procs[slot]
         if proc is not None:
@@ -706,36 +724,14 @@ class ProcessShardPool(Executor):
                 proc.kill()
                 proc.join(timeout=1.0)
         self._procs[slot] = None
-        try:
-            self._inboxes[slot].close()
-        except (OSError, ValueError):
-            pass
-        self._inboxes[slot] = self._context.Queue()
 
     def _ensure_workers(self, slots) -> bool:
         """Fork workers for *slots* (lazily); False on fallback."""
         try:
             if self._procs is None:
-                context = multiprocessing.get_context("fork")
-                queues = []
-                try:
-                    outbox = context.Queue()
-                    queues.append(outbox)
-                    inboxes = []
-                    for _ in range(self._n_workers):
-                        inbox = context.Queue()
-                        queues.append(inbox)
-                        inboxes.append(inbox)
-                except OSError:
-                    # Partial queue creation (e.g. EMFILE): release what
-                    # exists before falling back — close() below would
-                    # early-return with _procs still None.
-                    for queue in queues:
-                        queue.close()
-                    raise
-                self._context = context
-                self._outbox = outbox
-                self._inboxes = inboxes
+                self._context = multiprocessing.get_context("fork")
+                self._inboxes = [None] * self._n_workers
+                self._outboxes = [None] * self._n_workers
                 self._procs = [None] * self._n_workers
             for slot in slots:
                 if self._procs[slot] is None:
@@ -809,7 +805,8 @@ class ProcessShardPool(Executor):
         remaining = len(units)
         while remaining:
             try:
-                ticket, seq, ok, payload = self._outbox.get(timeout=poll)
+                ticket, seq, ok, payload = self._next_result(slot_fifo,
+                                                             poll)
             except queue_mod.Empty:
                 exhausted = self._check_slots(units, attempts, tickets,
                                               slot_fifo, last_progress,
@@ -852,6 +849,19 @@ class ProcessShardPool(Executor):
                 f"{attempts[seq]} time(s) in workers ({failure})",
                 ExecutionError)
         return results
+
+    def _next_result(self, slots, timeout: float):
+        """The next message from the outbox of any of *slots*; raises
+        ``queue.Empty`` when none arrives within *timeout*."""
+        outboxes = {self._outboxes[slot]._reader: self._outboxes[slot]
+                    for slot in slots}
+        for reader in multiprocessing.connection.wait(list(outboxes),
+                                                      timeout):
+            try:
+                return outboxes[reader].get_nowait()
+            except queue_mod.Empty:
+                continue
+        raise queue_mod.Empty
 
     def _check_slots(self, units, attempts, tickets, slot_fifo,
                      last_progress, dispatch):
@@ -945,13 +955,9 @@ class ProcessShardPool(Executor):
                 or self._procs is None:
             return
         for slot in sorted({int(w) % self._n_workers for w in windows}):
+            # A dead worker never consumes the shutdown sentinel; the
+            # slot's next spawn starts from a fresh inbox regardless.
             self._stop_worker(slot)
-            # Only a live worker consumes the shutdown sentinel; if the
-            # process was already dead, the sentinel would linger and a
-            # re-forked worker would read it and exit immediately.  A
-            # fresh inbox guarantees the slot restarts clean.
-            self._inboxes[slot].close()
-            self._inboxes[slot] = self._context.Queue()
 
     def holds_forked_state(self) -> bool:
         return self._procs is not None and self._degraded is None \
@@ -975,20 +981,24 @@ class ProcessShardPool(Executor):
             return
         for slot in range(self._n_workers):
             self._stop_worker(slot)
-        # Results from live workers may still sit in the outbox (and
+        # Results from live workers may still sit in the outboxes (and
         # unread dispatches in the inboxes): drain everything before
         # teardown so a later re-fork can never consume a stale
         # ``(ticket, seq, ...)`` from a previous batch.
         for inbox in self._inboxes:
-            _drain_queue(inbox)
-            inbox.close()
-        stale = _drain_queue(self._outbox)
+            if inbox is not None:
+                _drain_queue(inbox)
+                inbox.close()
+        stale = 0
+        for outbox in self._outboxes:
+            if outbox is not None:
+                stale += _drain_queue(outbox)
+                outbox.close()
         if stale:
             logger.warning(
                 "ProcessShardPool: discarded %d stale result(s) while "
                 "closing", stale)
-        self._outbox.close()
-        self._procs = self._inboxes = self._outbox = self._context = None
+        self._procs = self._inboxes = self._outboxes = self._context = None
 
     def terminate_workers(self) -> None:
         """Hard-stop every forked worker without the shutdown handshake.
@@ -1008,18 +1018,15 @@ class ProcessShardPool(Executor):
                 proc.join(timeout=1.0)
                 if proc.is_alive():
                     proc.kill()
-        for inbox in self._inboxes:
-            _drain_queue(inbox)
+        for queue in self._inboxes + self._outboxes:
+            if queue is None:
+                continue
+            _drain_queue(queue)
             try:
-                inbox.close()
+                queue.close()
             except (OSError, ValueError):
                 pass
-        _drain_queue(self._outbox)
-        try:
-            self._outbox.close()
-        except (OSError, ValueError):
-            pass
-        self._procs = self._inboxes = self._outbox = self._context = None
+        self._procs = self._inboxes = self._outboxes = self._context = None
 
     def __del__(self) -> None:
         try:

@@ -17,12 +17,12 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.runtime.executor import Executor, WorkUnit, resolve_executor
+from repro.runtime.shm import _tree_layout
 from repro.spatial.kdtree import TraversalArena
 
-#: Packed bytes per arena node — 24 (xyz) + 8 (left) + 8 (right) +
-#: 8 (point index) + 1 (axis); mirrors
-#: :func:`repro.runtime.shm._tree_layout`.
-_ARENA_NODE_BYTES = 49
+#: Packed bytes per arena node: the total of a one-node tree in the
+#: shared-memory layout (xyz, left, right, point index, axis).
+_ARENA_NODE_BYTES = _tree_layout(1)[-1]
 
 #: Fusable per-window unit kinds and their fused arena counterparts.
 _FUSED_KIND = {"knn": "fused_knn", "range": "fused_range"}
@@ -210,21 +210,19 @@ class WindowScheduler:
     order, so scattering by ``unit.rows`` reassembles the batch in input
     order regardless of backend.
 
-    With ``fusion`` on (the default), the window-grouped dispatch path
-    (:meth:`execute_by_window` / :meth:`run_ops`) fuses compatible
-    per-window units that share an executor dispatch slot into single
-    multi-window **arena** units (see
-    :class:`~repro.spatial.kdtree.TraversalArena`) and scatters the
-    per-member results back, so callers — and the result cache, fault
-    supervision and repair barriers above them — observe exactly the
-    per-window units they submitted.
+    Every dispatch (:meth:`run`, :meth:`run_ops`,
+    :meth:`execute_by_window`) fuses compatible per-window units that
+    share an executor dispatch slot into single multi-window **arena**
+    units (see :class:`~repro.spatial.kdtree.TraversalArena`) and
+    scatters the per-member results back, so callers — and the result
+    cache, fault supervision and repair barriers above them — observe
+    exactly the per-window units they submitted.
     """
 
     def __init__(self, state, executor="serial",
                  n_workers: Optional[int] = None,
-                 supervision=None, fusion: bool = True) -> None:
+                 supervision=None) -> None:
         self.state = state
-        self.fusion = bool(fusion)
         self.executor: Executor = resolve_executor(executor, state,
                                                    n_workers, supervision)
 
@@ -261,10 +259,6 @@ class WindowScheduler:
                                   dict(params)))
         return units
 
-    def execute(self, units: Sequence[WorkUnit]) -> List[Any]:
-        """Run *units* on the backend; results come back in unit order."""
-        return self.executor.run(units)
-
     def execute_by_window(self, units: Sequence[WorkUnit]) -> List[Any]:
         """Run *units* grouped by serving window; results in unit order.
 
@@ -273,8 +267,8 @@ class WindowScheduler:
         (stable within a window), so every op's work against window
         ``w`` lands on ``w``'s shard back to back — one warm pass per
         window instead of one per op.  The returned list is re-scattered
-        to the caller's unit order, so results are identical to
-        :meth:`execute` whichever order the backend ran them in.
+        to the caller's unit order, so results are identical whichever
+        order the backend ran them in.
 
         **Pipelined repair overlap**: when the state reports windows
         whose repair is still in flight (``pending_windows``), the
@@ -346,7 +340,7 @@ class WindowScheduler:
         keeping slot affinity, fault targeting and the ticket protocol
         byte-compatible with per-window dispatch.
         """
-        if not self.fusion or len(units) < 2:
+        if len(units) < 2:
             return list(units), None
         keys: List[Any] = []
         groups: Dict[Any, List[int]] = {}
@@ -415,9 +409,9 @@ class WindowScheduler:
 
     def run(self, queries: np.ndarray, window_ids: np.ndarray, kind: str,
             params: Dict[str, Any]) -> List[Tuple[WorkUnit, Any]]:
-        """Schedule + execute: ``(unit, result)`` pairs in unit order."""
-        units = self.schedule(queries, window_ids, kind, params)
-        return list(zip(units, self.execute(units)))
+        """Schedule + execute one op: ``(unit, result)`` pairs in unit
+        order (a one-op :meth:`run_ops`)."""
+        return self.run_ops([(queries, window_ids, kind, params)])[0]
 
     def run_ops(self, ops: Sequence[Tuple[np.ndarray, np.ndarray, str,
                                           Dict[str, Any]]]

@@ -19,15 +19,18 @@ Batched engine (the grouping hot path)
 ``(Q, 3)`` query block at once, filling preallocated ``(Q, k)`` index /
 distance arrays.  Two engines back them:
 
-* ``"traverse"`` — the canonical node-by-node search.  Capped untraced
-  batches run on a *lockstep* implementation that advances every
-  query's explicit traversal stack together with numpy array operations
-  per iteration; everything else runs a scalar inner loop over packed
-  Python tuples (no per-node numpy boxing).  Either way, ``indices``,
-  ``distances``, ``steps``, ``trace`` and ``terminated`` are
-  *identical* to the per-query :meth:`knn` / :meth:`range_search` path:
-  step accounting is the paper's core contribution and must not drift
-  between the batched and per-query code paths.
+* ``"traverse"`` — the canonical node-by-node search.  Untraced batches
+  of at least 32 queries run on the *lockstep* kernel, which advances
+  every query's explicit traversal stack together with numpy array
+  operations per iteration.  There is one lockstep path: the tree runs
+  as a one-member :class:`TraversalArena`, the same arena the runtime
+  scheduler fuses several windows into.  Everything else runs a scalar
+  inner loop over packed Python tuples (no per-node numpy boxing).
+  Either way, ``indices``, ``distances``, ``steps``, ``trace`` and
+  ``terminated`` are *identical* to the per-query :meth:`knn` /
+  :meth:`range_search` path: step accounting is the paper's core
+  contribution and must not drift between the batched and per-query
+  code paths.
 * ``"scan"`` — a vectorized brute-force distance matrix, used when the
   tree is small enough that a full scan beats traversal.  It returns the
   same neighbours as an *uncapped* traversal (exact-tie ordering is by
@@ -361,7 +364,6 @@ class KDTree:
         # traversal) engine.
         self._node_xyz = node_points
         self._node_split = node_points[np.arange(n), self.axis]
-        self._depth_cache: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -396,7 +398,6 @@ class KDTree:
         tree._col_z = points[:, 2]
         tree._node_xyz = node_points
         tree._node_split = node_points[np.arange(n), tree.axis]
-        tree._depth_cache = None
         return tree
 
     def packed_arrays(self):
@@ -585,15 +586,11 @@ class KDTree:
             return BatchQueryResult(indices, distances, counts, steps,
                                     terminated)
         if not record_traces and n_queries >= _LOCKSTEP_MIN_QUERIES:
-            if max_steps is not None:
-                # Capped, untraced traversal: the lockstep engine
-                # advances every query's stack together with identical
-                # semantics.
-                return self._knn_lockstep(queries, k_eff, max_steps)
-            # Uncapped, untraced traversal (the calibration profile
-            # path): lockstep with cap doubling — bit-equal to the
-            # scalar uncapped kernel, including step counts.
-            return self._knn_lockstep_uncapped(queries, k_eff)
+            # Untraced traversal runs lockstep as a one-member arena;
+            # uncapped batches (the calibration profile path) use cap
+            # doubling, bit-equal to the scalar kernel either way.
+            return TraversalArena([self])._knn(
+                queries, np.array([n_queries]), k_eff, max_steps)[0]
         traces: Optional[List[List[int]]] = [] if record_traces else None
         kernel_args = self._kernel_args()
         for qi in range(n_queries):
@@ -690,8 +687,9 @@ class KDTree:
                                     terminated)
         if (max_steps is not None and not record_traces
                 and n_queries >= _LOCKSTEP_MIN_QUERIES):
-            return self._range_lockstep(queries, radius, max_steps,
-                                        max_results)
+            return TraversalArena([self])._range(
+                queries, np.array([n_queries]), radius, max_steps,
+                max_results)[0]
         per_query: List[List[tuple]] = []
         steps = np.zeros(n_queries, dtype=np.int64)
         terminated = np.zeros(n_queries, dtype=bool)
@@ -729,129 +727,6 @@ class KDTree:
                                 terminated, traces)
 
     # ------------------------------------------------------------------
-    # Lockstep engine: vectorized capped traversal
-    # ------------------------------------------------------------------
-    # Every query advances its own explicit traversal stack, but all
-    # queries advance together — one stack pop per query per iteration,
-    # with numpy array operations across the whole batch.  The per-query
-    # visit sequence (pop order, pruning decisions, heap-eviction
-    # tie-breaking, push-time far-child filter) replicates the scalar
-    # kernels exactly, so steps / terminated / results are identical to
-    # the per-query path.  Designed for the deterministic-termination
-    # deadline, whose small step caps keep the iteration count low; the
-    # scalar kernels remain the engine for uncapped or traced traversals.
-
-    def _knn_lockstep(self, queries: np.ndarray, k: int, cap: int):
-        n = len(self.points)
-        n_queries = len(queries)
-        # A DFS visits each node at most once, so stacks never hold more
-        # than 2 * min(cap, n) pending entries.
-        stack_cap = 2 * min(cap, n) + 2
-        indices = np.full((n_queries, k), -1, dtype=np.int64)
-        distances = np.full((n_queries, k), np.inf, dtype=np.float64)
-        counts = np.zeros(n_queries, dtype=np.int64)
-        steps = np.zeros(n_queries, dtype=np.int64)
-        terminated = np.zeros(n_queries, dtype=bool)
-        block = max(1, _SCAN_BLOCK_ELEMS // (3 * stack_cap + 2 * k + 8))
-        for start in range(0, n_queries, block):
-            stop = min(start + block, n_queries)
-            out = self._knn_lockstep_block(queries[start:stop], k,
-                                           cap, stack_cap)
-            (indices[start:stop], distances[start:stop],
-             counts[start:stop], steps[start:stop],
-             terminated[start:stop]) = out
-        return BatchQueryResult(indices, distances, counts, steps,
-                                terminated)
-
-    def _knn_lockstep_uncapped(self, queries: np.ndarray,
-                               k: int) -> BatchQueryResult:
-        """Uncapped kNN on the lockstep engine, via cap doubling.
-
-        A DFS pushes each node at most once, so any traversal takes at
-        most ``len(tree)`` steps — a cap of ``n`` can never expire,
-        making the capped lockstep kernel bit-equal to the uncapped
-        scalar search.  Start from a cheap optimistic cap, then rerun
-        only the rows that hit it at double the cap (clamped to ``n``):
-        every surviving row's results and step counts come from a run
-        whose cap never fired, so the final batch is exactly the
-        canonical uncapped traversal.
-        """
-        n = len(self.points)
-        cap = min(n, max(64, 2 * (self.depth() + k)))
-        result = self._knn_lockstep(queries, k, cap)
-        while result.terminated.any() and cap < n:
-            cap = min(n, 2 * cap)
-            redo = np.nonzero(result.terminated)[0]
-            sub = self._knn_lockstep(queries[redo], k, cap)
-            result.indices[redo] = sub.indices
-            result.distances[redo] = sub.distances
-            result.counts[redo] = sub.counts
-            result.steps[redo] = sub.steps
-            result.terminated[redo] = sub.terminated
-        return result
-
-    def _lane_arrays(self):
-        """The packed node arrays in per-lane kernel order."""
-        return (self.axis, self.left, self.right, self.point_index,
-                self._node_xyz, self._node_split)
-
-    def _knn_lockstep_block(self, q: np.ndarray, k: int, cap: int,
-                            stack_cap: int):
-        n_q = len(q)
-        return _knn_lanes_block(
-            self._lane_arrays(), q,
-            np.full(n_q, self.root, dtype=np.int64),
-            np.full(n_q, k, dtype=np.int64), k, cap, stack_cap)
-
-    def _range_lockstep(self, queries: np.ndarray, radius: float,
-                        cap: int, max_results: Optional[int]):
-        n = len(self.points)
-        n_queries = len(queries)
-        stack_cap = 2 * min(cap, n) + 2
-        hit_cap = min(cap, n)
-        block = max(1, _SCAN_BLOCK_ELEMS // (3 * stack_cap
-                                             + 2 * hit_cap + 8))
-        parts = []
-        for start in range(0, n_queries, block):
-            stop = min(start + block, n_queries)
-            parts.append(self._range_lockstep_block(
-                queries[start:stop], radius, cap, stack_cap, hit_cap))
-        hcount = np.concatenate([p[2] for p in parts]) if parts else \
-            np.zeros(0, dtype=np.int64)
-        if max_results is not None:
-            counts = np.minimum(hcount, max_results)
-            cap_out = min(max_results, n)
-        else:
-            counts = hcount
-            cap_out = int(counts.max()) if n_queries else 0
-        indices = np.full((n_queries, cap_out), -1, dtype=np.int64)
-        distances = np.full((n_queries, cap_out), np.inf, dtype=np.float64)
-        steps = np.zeros(n_queries, dtype=np.int64)
-        terminated = np.zeros(n_queries, dtype=bool)
-        row = 0
-        for idx, dst, _, stp, term in parts:
-            stop = row + len(idx)
-            width = min(idx.shape[1], cap_out)
-            indices[row:stop, :width] = idx[:, :width]
-            distances[row:stop, :width] = dst[:, :width]
-            steps[row:stop] = stp
-            terminated[row:stop] = term
-            row = stop
-        valid = np.arange(cap_out)[None, :] < counts[:, None]
-        indices[~valid] = -1
-        distances[~valid] = np.inf
-        return BatchQueryResult(indices, distances, counts, steps,
-                                terminated)
-
-    def _range_lockstep_block(self, q: np.ndarray, radius: float,
-                              cap: int, stack_cap: int, hit_cap: int):
-        n_q = len(q)
-        return _range_lanes_block(
-            self._lane_arrays(), q,
-            np.full(n_q, self.root, dtype=np.int64),
-            radius, cap, stack_cap, hit_cap)
-
-    # ------------------------------------------------------------------
     # Profiling helpers
     # ------------------------------------------------------------------
     def profile_steps(self, queries: np.ndarray, k: int) -> np.ndarray:
@@ -864,20 +739,13 @@ class KDTree:
         return self.knn_batch(queries, k, engine="traverse").steps
 
     def depth(self) -> int:
-        """Maximum node depth (root = 1); memoized — trees are
-        immutable once built."""
-        if self._depth_cache is None:
-            best = 0
-            stack = [(self.root, 1)]
-            while stack:
-                node, d = stack.pop()
-                if node == -1:
-                    continue
-                best = max(best, d)
-                stack.append((int(self.left[node]), d + 1))
-                stack.append((int(self.right[node]), d + 1))
-            self._depth_cache = best
-        return self._depth_cache
+        """Maximum node depth (root = 1).
+
+        A median split keeps ``n // 2`` points on the left and at most
+        that many on the right, so the depth of an ``n``-point tree
+        follows ``d(n) = 1 + d(n // 2)``, i.e. ``n.bit_length()``.
+        """
+        return len(self).bit_length()
 
     def _check_query(self, query: np.ndarray) -> np.ndarray:
         query = np.asarray(query, dtype=np.float64)
@@ -899,13 +767,16 @@ class KDTree:
 # ----------------------------------------------------------------------
 # Per-lane lockstep kernels
 # ----------------------------------------------------------------------
-# The lockstep traversal generalised to independent *lanes*: every lane
-# carries its own root node (and, for kNN, its own effective k), so one
-# kernel launch can serve queries against a single tree (all lanes share
-# one root) or against a whole arena of concatenated trees (each lane's
-# root points into its window's node range).  Lanes never interact — the
-# per-lane visit sequence, step counts and termination points replicate
-# the scalar kernels exactly, whatever the roots are.
+# Every query advances its own explicit traversal stack, but all
+# queries advance together — one stack pop per lane per iteration, with
+# numpy array operations across the whole block.  Every lane carries its
+# own root node (and, for kNN, its own effective k), so one launch serves
+# a whole arena of concatenated trees (each lane's root points into its
+# member's node range); a single tree is a one-member arena.  Lanes never
+# interact — the per-lane visit sequence (pop order, pruning decisions,
+# heap-eviction tie-breaking, push-time far-child filter), step counts
+# and termination points replicate the scalar kernels exactly, whatever
+# the roots are.
 
 def _knn_lanes_block(arrays, q: np.ndarray, roots: np.ndarray,
                      k_lane: np.ndarray, width: int, cap: int,
@@ -1095,8 +966,10 @@ class TraversalArena:
     :class:`BatchQueryResult` per member, **bit-equal** to running that
     member's queries through its own tree's batch engine with the same
     parameters — indices, distances, counts, steps and terminated flags
-    alike.  The concatenated layout is exactly what an opt-in compiled
-    kernel (numba / Cython) would consume unchanged.
+    alike.  A single tree's lockstep batch is a one-member arena, so
+    this is the only lockstep path.  The concatenated layout is exactly
+    what an opt-in compiled kernel (numba / Cython) would consume
+    unchanged.
 
     Construction gathers the member arrays once (the sources may be
     zero-copy views over attached shared-memory segments; the gather is
@@ -1131,15 +1004,9 @@ class TraversalArena:
         split = np.concatenate(
             [tree._node_split for tree in self.trees])
         self._arrays = (axis, left, right, pidx, xyz, split)
-        self._max_depth: Optional[int] = None
 
-    def max_depth(self) -> int:
-        """Deepest member tree (memoized; members are immutable)."""
-        if self._max_depth is None:
-            self._max_depth = max(tree.depth() for tree in self.trees)
-        return self._max_depth
-
-    def _lane_layout(self, splits) -> np.ndarray:
+    def _lane_layout(self, queries: np.ndarray, splits):
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         splits = np.asarray(splits, dtype=np.int64)
         if len(splits) != len(self.trees):
             raise ValidationError(
@@ -1147,7 +1014,10 @@ class TraversalArena:
                 f"({len(self.trees)}), got {len(splits)}")
         if (splits < 0).any():
             raise ValidationError("splits must be non-negative")
-        return splits
+        if int(splits.sum()) != len(queries):
+            raise ValidationError(
+                "splits must partition the fused query block")
+        return queries, splits
 
     def knn_fused(self, queries: np.ndarray, splits, k: int,
                   max_steps: Optional[int] = None
@@ -1156,27 +1026,34 @@ class TraversalArena:
         ``sum(splits[:m]) : sum(splits[:m+1])``; one result per member,
         bit-equal to ``trees[m].knn_batch(rows, k, max_steps=...,
         engine="traverse")``."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        splits = self._lane_layout(splits)
-        if int(splits.sum()) != len(queries):
-            raise ValidationError(
-                "splits must partition the fused query block")
+        queries, splits = self._lane_layout(queries, splits)
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         if max_steps is not None and max_steps <= 0:
             raise ValidationError("max_steps must be positive when given")
+        return self._knn(queries, splits, int(k), max_steps)
+
+    def _knn(self, queries: np.ndarray, splits: np.ndarray, k: int,
+             max_steps: Optional[int]) -> List[BatchQueryResult]:
+        """:meth:`knn_fused` on validated inputs (also the lockstep
+        path of :meth:`KDTree.knn_batch`, as a one-member arena)."""
         member_of = np.repeat(np.arange(len(splits)), splits)
-        k_member = np.minimum(int(k), self.sizes)
+        k_member = np.minimum(k, self.sizes)
         k_lane = k_member[member_of]
         width = int(k_member.max())
         if max_steps is not None:
             out = self._knn_lanes(queries, member_of, k_lane, width,
                                   int(max_steps))
         else:
-            # Cap doubling, as in KDTree._knn_lockstep_uncapped: a cap
-            # of max_size can never expire on any lane.
+            # Cap doubling.  A DFS pushes each node at most once, so a
+            # cap of max_size can never expire on any lane.  Start from
+            # a cheap optimistic cap (twice the deepest descent plus
+            # k), then rerun only the lanes that hit it at double the
+            # cap: every surviving lane's results and step counts come
+            # from a run whose cap never fired, which is exactly the
+            # canonical uncapped traversal.
             cap = min(self.max_size,
-                      max(64, 2 * (self.max_depth() + int(k))))
+                      max(64, 2 * (self.max_size.bit_length() + k)))
             out = self._knn_lanes(queries, member_of, k_lane, width, cap)
             indices, distances, counts, steps, terminated = out
             while terminated.any() and cap < self.max_size:
@@ -1234,11 +1111,7 @@ class TraversalArena:
         the arena's working set (uncapped range queries stay on the
         per-tree engines).
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        splits = self._lane_layout(splits)
-        if int(splits.sum()) != len(queries):
-            raise ValidationError(
-                "splits must partition the fused query block")
+        queries, splits = self._lane_layout(queries, splits)
         if radius <= 0:
             raise ValidationError(
                 f"radius must be positive, got {radius}")
@@ -1247,8 +1120,15 @@ class TraversalArena:
                 "fused range queries need a positive max_steps")
         if max_results is not None and max_results <= 0:
             raise ValidationError("max_results must be positive when given")
+        return self._range(queries, splits, radius, int(max_steps),
+                           max_results)
+
+    def _range(self, queries: np.ndarray, splits: np.ndarray,
+               radius: float, cap: int, max_results: Optional[int]
+               ) -> List[BatchQueryResult]:
+        """:meth:`range_fused` on validated inputs (also the lockstep
+        path of :meth:`KDTree.range_batch`, as a one-member arena)."""
         member_of = np.repeat(np.arange(len(splits)), splits)
-        cap = int(max_steps)
         n_queries = len(queries)
         stack_cap = 2 * min(cap, self.max_size) + 2
         hit_cap = min(cap, self.max_size)
@@ -1275,8 +1155,8 @@ class TraversalArena:
             stop = start + int(n_rows)
             n_w = int(self.sizes[m])
             hc = hcount[start:stop]
-            # Per-member output assembly, replicating
-            # KDTree._range_lockstep's sizing exactly.
+            # Per-member output assembly, sized exactly like the scalar
+            # path of KDTree.range_batch.
             if max_results is not None:
                 counts = np.minimum(hc, max_results)
                 cap_out = min(int(max_results), n_w)
@@ -1297,7 +1177,6 @@ class TraversalArena:
                 terminated[start:stop].copy()))
             start = stop
         return results
-
 
 def _smallest_k(dist: np.ndarray, k: int):
     """Per-row k smallest entries of a ``(B, N)`` distance matrix.

@@ -330,8 +330,7 @@ class ChunkedIndex:
                  executor="serial",
                  executor_workers: Optional[int] = None,
                  supervision=None,
-                 pipeline_repair: bool = False,
-                 arena_fusion: bool = True) -> None:
+                 pipeline_repair: bool = False) -> None:
         positions = np.asarray(positions, dtype=np.float64)
         chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
         if positions.ndim != 2 or positions.shape[1] != 3:
@@ -353,11 +352,6 @@ class ChunkedIndex:
         #: pool; the scheduler barriers per window via
         #: :meth:`finish_windows`).  Bit-equal either way.
         self.pipeline_repair = pipeline_repair
-        #: Fuse compatible per-window work units into multi-window
-        #: arena launches (:class:`repro.spatial.kdtree.TraversalArena`)
-        #: inside the scheduler.  Bit-equal either way; disable to
-        #: force one lockstep launch per window.
-        self.arena_fusion = arena_fusion
         self._pending_repairs: Dict[int, object] = {}
         self._repair_pool = None
         self._repair_pid: Optional[int] = None
@@ -761,8 +755,7 @@ class ChunkedIndex:
             self._scheduler = WindowScheduler(WeakShardState(self),
                                               self.executor,
                                               self.executor_workers,
-                                              self.supervision,
-                                              fusion=self.arena_fusion)
+                                              self.supervision)
         return self._scheduler
 
     @property

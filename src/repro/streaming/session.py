@@ -189,8 +189,8 @@ class SessionStats:
     ``arena_launches`` / ``arena_bytes_viewed`` total the scheduler's
     fused multi-window traversal launches and the packed node bytes
     those launches viewed; ``arena_units_fused`` histograms fused group
-    sizes (``{group_size: launches}``).  All zero with
-    ``arena_fusion=False`` or when no batch ever fused.
+    sizes (``{group_size: launches}``).  All zero when no batch ever
+    fused.
     """
 
     frames: int = 0
@@ -861,8 +861,7 @@ class StreamSession:
                 executor=self.config.executor,
                 executor_workers=self.config.executor_workers,
                 supervision=self.session_config.supervision(),
-                pipeline_repair=self.session_config.pipeline_repair,
-                arena_fusion=self.session_config.arena_fusion)
+                pipeline_repair=self.session_config.pipeline_repair)
             reused = False
         if self.session_config.reuse_index:
             self._index.result_cache = self._result_cache

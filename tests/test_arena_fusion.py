@@ -4,11 +4,13 @@ The contract of the fused multi-window traversal arena
 (:class:`repro.spatial.kdtree.TraversalArena` +
 :meth:`repro.runtime.WindowScheduler.execute_by_window` fusion): on
 every backend and both splitting modes, fused dispatch is **bit-equal**
-to per-window dispatch — indices, distances, counts, steps, terminated,
-and the result-cache counters — while
-:class:`repro.runtime.RuntimeStats` accounts each fused launch exactly.
-Fault injection targeting a fused unit's primary window must recover
-bit-safe with the same counters as the per-window path.
+to a per-window oracle — each query run through the scalar per-query
+kernel (:meth:`KDTree.knn` / :meth:`KDTree.range_search`) of a tree
+built over its serving window's points — in indices, distances,
+counts, steps and terminated flags, and the result cache counts one
+lookup per window unit, while :class:`repro.runtime.RuntimeStats`
+accounts each fused launch exactly.  Fault injection targeting a fused
+unit's primary window must recover bit-safe.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import pytest
 from repro.core.config import (
     SplittingConfig,
     StreamGridConfig,
-    StreamingSessionConfig,
     TerminationConfig,
 )
 from repro.errors import ValidationError
@@ -32,6 +33,7 @@ from repro.runtime import (
 )
 from repro.spatial import ChunkGrid, ChunkedIndex, KDTree, chunk_windows
 from repro.spatial.kdtree import (
+    QueryResult,
     TraversalArena,
     engine_tuning,
     reset_engine_tuning,
@@ -65,6 +67,41 @@ def _windowed_index(pts, backend, mode="spatial", **kwargs):
                         **kwargs), grid
 
 
+def _scalar_oracle(index, queries, chunks, kind, **params):
+    """Per-window oracle rows: every query against a fresh tree over its
+    serving window's points, through the scalar per-query kernel, with
+    indices mapped back to the original point array."""
+    trees = {}
+    rows = []
+    for query, window in zip(queries, index.window_of_queries(chunks)):
+        members = index._members[int(window)]
+        if not len(members):
+            rows.append(QueryResult(np.zeros(0, dtype=np.int64),
+                                    np.zeros(0), 0, False))
+            continue
+        if window not in trees:
+            trees[window] = KDTree(index.positions[members])
+        if kind == "knn":
+            local = trees[window].knn(query, **params)
+        else:
+            local = trees[window].range_search(query, **params)
+        rows.append(QueryResult(members[local.indices], local.distances,
+                                local.steps, local.terminated))
+    return rows
+
+
+def _assert_matches_oracle(got, rows):
+    assert len(got.counts) == len(rows)
+    for i, want in enumerate(rows):
+        row = got.row(i)
+        np.testing.assert_array_equal(row.indices, want.indices)
+        np.testing.assert_array_equal(row.distances, want.distances)
+        assert (row.steps, row.terminated) == (want.steps, want.terminated)
+        count = int(got.counts[i])
+        assert (got.indices[i, count:] == -1).all()
+        assert np.isinf(got.distances[i, count:]).all()
+
+
 def _assert_batches_equal(got, want):
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.distances, want.distances)
@@ -74,7 +111,7 @@ def _assert_batches_equal(got, want):
 
 
 # ----------------------------------------------------------------------
-# Fused vs per-window bit-equality across the backend matrix
+# Fused dispatch vs the scalar oracle across the backend matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["spatial", "serial"])
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -83,26 +120,25 @@ def test_fused_bit_equal(rng, backend, mode, kind):
     pts = rng.uniform(0, 1, size=(420, 3))
     queries = rng.uniform(0, 1, size=(150, 3))
     fused, grid = _windowed_index(pts, backend, mode)
-    plain, _ = _windowed_index(pts, backend, mode, arena_fusion=False)
     chunks = grid.assign(queries)
     try:
         if kind == "knn":
             got = fused.query_knn_batch(queries, chunks, 5, max_steps=24)
-            want = plain.query_knn_batch(queries, chunks, 5, max_steps=24)
+            want = _scalar_oracle(fused, queries, chunks, "knn", k=5,
+                                  max_steps=24)
         else:
             got = fused.query_range_batch(queries, chunks, 0.25,
                                           max_steps=30, max_results=7)
-            want = plain.query_range_batch(queries, chunks, 0.25,
-                                           max_steps=30, max_results=7)
-        _assert_batches_equal(got, want)
+            want = _scalar_oracle(fused, queries, chunks, "range",
+                                  radius=0.25, max_steps=30,
+                                  max_results=7)
+        _assert_matches_oracle(got, want)
         stats = fused._runtime().executor.runtime_stats
         assert stats.arena_launches >= 1
         assert sum(size * n for size, n
                    in stats.arena_units_fused.items()) >= 2
-        assert plain._runtime().executor.runtime_stats.arena_launches == 0
     finally:
         fused.close()
-        plain.close()
 
 
 def test_fused_uncapped_knn_traverse_engine(rng):
@@ -111,17 +147,14 @@ def test_fused_uncapped_knn_traverse_engine(rng):
     pts = rng.uniform(0, 1, size=(400, 3))
     queries = rng.uniform(0, 1, size=(140, 3))
     fused, grid = _windowed_index(pts, "serial")
-    plain, _ = _windowed_index(pts, "serial", arena_fusion=False)
     chunks = grid.assign(queries)
     try:
         got = fused.query_knn_batch(queries, chunks, 4, engine="traverse")
-        want = plain.query_knn_batch(queries, chunks, 4,
-                                     engine="traverse")
-        _assert_batches_equal(got, want)
+        want = _scalar_oracle(fused, queries, chunks, "knn", k=4)
+        _assert_matches_oracle(got, want)
         assert fused._runtime().executor.runtime_stats.arena_launches >= 1
     finally:
         fused.close()
-        plain.close()
 
 
 def test_uncapped_auto_and_traced_units_never_fuse(rng):
@@ -218,28 +251,28 @@ def test_single_window_and_empty_batches_never_fuse(rng):
 # Cache counters are untouched by fusion
 # ----------------------------------------------------------------------
 def test_cache_counters_identical_under_fusion(rng):
+    """The cache sees the per-window units, not the fused launch: one
+    miss per served window, then one hit per window on the replay."""
     pts = rng.uniform(0, 1, size=(360, 3))
     queries = rng.uniform(0, 1, size=(130, 3))
-    lookups = {}
-    for fusion in (True, False):
-        index, grid = _windowed_index(pts, "serial",
-                                      arena_fusion=fusion)
-        index.result_cache = WindowResultCache(64)
-        chunks = grid.assign(queries)
-        try:
-            first = index.query_knn_batch(queries, chunks, 4,
-                                          max_steps=20)
-            replay = index.query_knn_batch(queries, chunks, 4,
-                                           max_steps=20)
-            _assert_batches_equal(replay, first)
-            lookups[fusion] = (index.cache_hits, index.cache_misses)
-            stats = index._runtime().executor.runtime_stats
-            if fusion:
-                # The replay is served by the cache: no second launch.
-                assert stats.arena_launches == 1
-        finally:
-            index.close()
-    assert lookups[True] == lookups[False]
+    index, grid = _windowed_index(pts, "serial")
+    index.result_cache = WindowResultCache(64)
+    chunks = grid.assign(queries)
+    try:
+        served = {int(w) for w in index.window_of_queries(chunks)
+                  if not index.window_is_empty(int(w))}
+        first = index.query_knn_batch(queries, chunks, 4, max_steps=20)
+        assert (index.cache_hits, index.cache_misses) == (0, len(served))
+        replay = index.query_knn_batch(queries, chunks, 4, max_steps=20)
+        _assert_batches_equal(replay, first)
+        _assert_matches_oracle(replay, _scalar_oracle(
+            index, queries, chunks, "knn", k=4, max_steps=20))
+        assert (index.cache_hits, index.cache_misses) \
+            == (len(served), len(served))
+        # The replay is served by the cache: no second launch.
+        assert index._runtime().executor.runtime_stats.arena_launches == 1
+    finally:
+        index.close()
 
 
 # ----------------------------------------------------------------------
@@ -276,17 +309,15 @@ def test_fused_unit_raise_retries_bit_safe(rng):
     whole arena launch bit-safe with exact counters."""
     pts = np.random.default_rng(5).uniform(0, 1, size=(400, 3))
     queries = np.random.default_rng(6).uniform(0, 1, size=(120, 3))
-    plain, grid = _windowed_index(pts, "serial", arena_fusion=False)
-    chunks = grid.assign(queries)
-    want = plain.query_knn_batch(queries, chunks, 4, max_steps=18)
-    plain.close()
     # Serial fuses every window into one unit carrying the lowest
     # member window id — target it.
     injector = FaultInjector([FaultSpec(kind="raise", window=0)])
-    index, _ = _windowed_index(pts, injector.executor("serial"))
+    index, grid = _windowed_index(pts, injector.executor("serial"))
+    chunks = grid.assign(queries)
     try:
         got = index.query_knn_batch(queries, chunks, 4, max_steps=18)
-        _assert_batches_equal(got, want)
+        _assert_matches_oracle(got, _scalar_oracle(
+            index, queries, chunks, "knn", k=4, max_steps=18))
         assert injector.fire_counts == [1]
         assert index.fault_stats.retries == 1
         assert index.fault_stats.degradations == []
@@ -300,17 +331,15 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
     and re-dispatches the fused unit bit-safe."""
     pts = np.random.default_rng(7).uniform(0, 1, size=(400, 3))
     queries = np.random.default_rng(8).uniform(0, 1, size=(120, 3))
-    plain, grid = _windowed_index(pts, "serial", arena_fusion=False)
-    chunks = grid.assign(queries)
-    want = plain.query_knn_batch(queries, chunks, 4, max_steps=18)
-    plain.close()
     injector = FaultInjector([FaultSpec(kind="crash", window=0)])
-    index, _ = _windowed_index(pts, injector.executor("process"),
-                               supervision=SupervisionConfig(
-                                   unit_timeout=5.0))
+    index, grid = _windowed_index(pts, injector.executor("process"),
+                                  supervision=SupervisionConfig(
+                                      unit_timeout=5.0))
+    chunks = grid.assign(queries)
     try:
         got = index.query_knn_batch(queries, chunks, 4, max_steps=18)
-        _assert_batches_equal(got, want)
+        _assert_matches_oracle(got, _scalar_oracle(
+            index, queries, chunks, "knn", k=4, max_steps=18))
         if index.effective_executor != "process":
             pytest.skip("fork unavailable; pool fell back")
         assert injector.fire_counts == [1]
@@ -400,21 +429,20 @@ def test_session_surfaces_arena_stats(rng):
     config = StreamGridConfig(
         splitting=SplittingConfig(shape=(3, 3, 1), kernel=(2, 2, 1)),
         termination=TerminationConfig(deadline_steps=40))
-    with StreamSession(config, k=4) as fused_session:
-        fused_frames = [fused_session.process(f) for f in frames]
-        fused_stats = fused_session.stats
-    with StreamSession(
-            config, k=4,
-            session=StreamingSessionConfig(arena_fusion=False)
-    ) as plain_session:
-        plain_frames = [plain_session.process(f) for f in frames]
-        plain_stats = plain_session.stats
-    for a, b in zip(fused_frames, plain_frames):
-        np.testing.assert_array_equal(a.result.indices, b.result.indices)
-        np.testing.assert_array_equal(a.result.steps, b.result.steps)
+    with StreamSession(config, k=4) as session:
+        fused_frames = []
+        for frame in frames:
+            out = session.process(frame)
+            # Self-query frame: each point queries its own chunk's
+            # serving window at the fixed deadline.
+            index = session._index
+            _assert_matches_oracle(out.result, _scalar_oracle(
+                index, index.positions, index.assignment, "knn", k=4,
+                max_steps=out.deadline))
+            fused_frames.append(out)
+        fused_stats = session.stats
     assert fused_stats.arena_launches >= 1
     assert fused_stats.arena_bytes_viewed > 0
     assert sum(fused_stats.arena_units_fused.values()) \
         == fused_stats.arena_launches
-    assert plain_stats.arena_launches == 0
     assert "arena_launches" in fused_frames[0].runtime

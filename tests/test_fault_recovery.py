@@ -8,6 +8,8 @@ frame rolls the warm session back to the last good frame, and
 ``on_error="skip"`` quarantines failures without poisoning the stream.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -39,13 +41,14 @@ BACKENDS = ["serial", "thread", "process", "shm"]
 # ----------------------------------------------------------------------
 # Executor-level fault matrix on a real windowed index
 # ----------------------------------------------------------------------
-def _index(rng, executor="serial", supervision=None, n=200, **kwargs):
+def _index(rng, executor="serial", supervision=None, n=200,
+           workers=WORKERS, **kwargs):
     pts = rng.uniform(0, 1, size=(n, 3))
     grid = ChunkGrid.fit(pts, (4, 4, 1))
     windows = chunk_windows((4, 4, 1), (2, 2, 1))
     assignment = grid.assign(pts)
     index = ChunkedIndex(pts, assignment, windows, executor=executor,
-                         executor_workers=WORKERS,
+                         executor_workers=workers,
                          supervision=supervision, **kwargs)
     return index, pts, assignment
 
@@ -112,15 +115,13 @@ def test_exact_counter_accounting_process(rng):
         FaultSpec(kind="hang", window=4, duration=30.0),
         FaultSpec(kind="raise", window=6),
     ])
-    # Per-window dispatch: the three specs address three distinct
-    # windows, which arena fusion would collapse onto one unit (a spec
-    # targeting any member matches the whole launch, so the schedule
-    # could no longer fire one fault per spec).  Fused-unit fault
-    # recovery is covered by tests/test_arena_fusion.py.
+    # Three workers put windows 2 / 4 / 6 on distinct affinity slots
+    # (2 / 1 / 0), so each spec lands in its own fused unit: a spec
+    # targeting any member of a fused unit matches the whole launch,
+    # and specs sharing a slot would no longer fire once each.
     index, pts, assignment = _index(
         np.random.default_rng(42), executor=injector.executor("process"),
-        supervision=SupervisionConfig(unit_timeout=1.5),
-        arena_fusion=False)
+        supervision=SupervisionConfig(unit_timeout=1.5), workers=3)
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
@@ -134,6 +135,7 @@ def test_exact_counter_accounting_process(rng):
     assert stats.respawns == 2          # the crash and the hang
     assert stats.degradations == []
     assert index.effective_executor == "process"
+    assert index.runtime_stats.arena_launches >= 1
     index.close()
 
 
@@ -223,11 +225,40 @@ def test_stale_ticket_results_are_discarded(rng):
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     # Forge a stale result: its ticket can never match a live dispatch.
-    pool._outbox.put((999_999_999, 0, True, "garbage"))
+    pool._outboxes[0].put((999_999_999, 0, True, "garbage"))
     want = _reference(np.random.default_rng(3))
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
+    index.close()
+
+
+def test_orphaned_outbox_lock_stays_on_its_slot(rng):
+    """A worker killed while its queue feeder holds the outbox's write
+    lock leaves that lock held for good.  Each slot owns its outbox and
+    a respawn replaces it, so the batch recovers on the process backend
+    instead of stalling every worker's results."""
+    index, pts, assignment = _index(
+        np.random.default_rng(11), executor="process",
+        supervision=SupervisionConfig(unit_timeout=2.0))
+    index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
+    pool = index._runtime().executor
+    if pool.effective != "process":
+        index.close()
+        pytest.skip("fork unavailable; pool fell back to serial")
+    # Orphan slot 0's outbox lock the way a kill mid-write does: a
+    # process takes it and exits holding it.
+    holder = multiprocessing.get_context("fork").Process(
+        target=pool._outboxes[0]._wlock.acquire)
+    holder.start()
+    holder.join()
+    pool._procs[0].kill()
+    pool._procs[0].join()
+    got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                max_steps=20)
+    _assert_batches_equal(got, _reference(np.random.default_rng(11)))
+    assert index.fault_stats.degradations == []
+    assert index.effective_executor == "process"
     index.close()
 
 

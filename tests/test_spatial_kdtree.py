@@ -146,3 +146,33 @@ def test_capped_steps_never_exceed_cap(seed, cap):
     tree = KDTree(pts)
     result = tree.knn(rng.normal(size=3), 5, max_steps=cap)
     assert result.steps <= cap
+
+
+def _walked_depth(tree):
+    """Oracle: deepest node (root = 1) by an explicit left/right walk."""
+    best = 0
+    stack = [(tree.root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if node == -1:
+            continue
+        best = max(best, depth)
+        stack.append((int(tree.left[node]), depth + 1))
+        stack.append((int(tree.right[node]), depth + 1))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3000),
+       layout=st.sampled_from(["uniform", "duplicates", "collinear"]))
+def test_depth_closed_form_matches_walk(seed, n, layout):
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        pts = rng.uniform(0, 1, size=(n, 3))
+    elif layout == "duplicates":
+        pts = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+    else:
+        t = rng.uniform(0, 1, size=n)
+        pts = np.stack([t, 2 * t, -t], axis=1)
+    tree = KDTree(pts)
+    assert tree.depth() == _walked_depth(tree) == n.bit_length()
