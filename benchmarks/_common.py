@@ -7,9 +7,14 @@ or series the paper reports, prints them, and persists them under
 
 from __future__ import annotations
 
+import json
 import os
+import platform
+import subprocess
 import time
 from typing import Iterable, Optional
+
+import numpy as np
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -28,6 +33,34 @@ def time_best(fn, repeats: int):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def host_metadata() -> dict:
+    """Where a payload was measured: cpu count, python / numpy
+    versions and the checkout's git sha (``None`` outside a git
+    checkout)."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, check=True,
+            capture_output=True, text=True).stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {"cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "git_sha": sha}
+
+
+def write_payload(path: Optional[str], payload: dict) -> dict:
+    """Stamp *payload* with :func:`host_metadata` (under ``"host"``)
+    and write it as indented JSON to *path* (skipped when *path* is
+    empty).  Returns the stamped payload."""
+    payload["host"] = host_metadata()
+    if path:
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+    return payload
 
 
 def emit(name: str, lines: Iterable[str],

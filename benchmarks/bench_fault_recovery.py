@@ -7,14 +7,14 @@ four ways:
 
 * ``serial / none`` — fault-free serial execution: the bit-exactness
   reference and the fps baseline;
-* ``process / none`` — fault-free forked pool: what supervision costs
+* ``shm / none`` — fault-free forked pool: what supervision costs
   when nothing fails;
-* ``process / crash`` — a deterministic crash schedule: a worker is
+* ``shm / crash`` — a deterministic crash schedule: a worker is
   killed on every K-th work unit of one chosen window (the injector
   counts *units*, so with roughly one unit per window per frame this
   approximates a crash every K frames; the realized fault count is
   reported per row);
-* ``process / mixed`` — the crash schedule plus one worker hang
+* ``shm / mixed`` — the crash schedule plus one worker hang
   (detected by the unit timeout, worker killed mid-sleep) and one
   in-unit exception.
 
@@ -34,7 +34,6 @@ plus a text table under ``benchmarks/results/``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.datasets import make_lidar_stream_frames
 from repro.runtime import FaultInjector, FaultSpec, resolve_worker_count
 from repro.streaming import StreamSession
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, time_best, write_payload
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_faults.json")
 
@@ -138,8 +137,8 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
 
     rows = []
     clean_s = {}
-    for backend, schedule in (("serial", "none"), ("process", "none"),
-                              ("process", "crash"), ("process", "mixed")):
+    for backend, schedule in (("serial", "none"), ("shm", "none"),
+                              ("shm", "crash"), ("shm", "mixed")):
         if check and schedule != "none":
             # Correctness gate on its own injector (never the timed one):
             # every frame completes, bit-equal, no permanent fallback.
@@ -200,10 +199,7 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
         "max_recovery_overhead_s": max(
             (row["recovery_overhead_s"] for row in faulty), default=0.0),
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    write_payload(output, payload)
     lines = [f"{'backend':8s} {'schedule':9s} {'eff':8s} {'fps':>8s} "
              f"{'faults':>7s} {'overhead':>9s} {'per-fault':>10s} "
              f"{'retry':>6s} {'spawn':>6s} {'tmout':>6s} {'degr':>5s}"]

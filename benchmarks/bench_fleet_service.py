@@ -4,8 +4,8 @@ Drives N concurrent :class:`repro.streaming.StreamSession` tenants
 (N ∈ {2, 8} by default) through drifting-cloud frame streams two ways:
 
 * **dedicated** — the status quo: every tenant constructs its own
-  process pool (``executor="process"``), so N tenants hold N × workers
-  forked processes between them;
+  private forked pool (``executor="shm"``), so N tenants hold
+  N × workers forked processes between them;
 * **fleet** — every tenant leases the same
   :class:`repro.runtime.fleet.ShardFleet` (shared-memory inner
   transport): one supervised worker set serves all tenants, window ids
@@ -40,7 +40,6 @@ shipped.  Emits ``BENCH_fleet.json`` at the repo root (override with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 
@@ -57,7 +56,7 @@ from repro.runtime.fleet import FleetConfig, ShardFleet
 from repro.spatial.neighbors import reset_shared_result_cache
 from repro.streaming import StreamSession
 
-from _common import REPO_ROOT, RESULTS_DIR, emit
+from _common import REPO_ROOT, RESULTS_DIR, emit, write_payload
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fleet.json")
 
@@ -185,7 +184,7 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
 
             def _dedicated():
                 return _drive(streams, queries, k,
-                              lambda i: "process", scenario,
+                              lambda i: "shm", scenario,
                               pool_workers)
 
             def _fleet():
@@ -288,7 +287,7 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
         "bit_equal_checked": bool(check),
         "fleet_effective_ok": fleet_effective_ok,
         # The headline acceptance: one shared fleet matches or beats N
-        # independent process pools on aggregate throughput at the
+        # independent private pools on aggregate throughput at the
         # largest tenant count, with no cache sharing to help it.
         "fleet_ge_dedicated_at_largest":
             largest_distinct["fleet_fps"]
@@ -302,10 +301,7 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
             for row in shared_rows) if shared_rows else False,
         "shm_leftovers": _shm_leftovers(),
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    write_payload(output, payload)
     lines = [f"{'scenario':16s} {'N':>2s} {'ded_fps':>8s} "
              f"{'fleet_fps':>9s} {'fleet/ded':>10s} {'ded_p99':>8s} "
              f"{'flt_p99':>8s} {'hits':>6s} {'bytes':>10s}"]

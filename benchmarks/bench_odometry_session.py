@@ -1,7 +1,8 @@
 """Throughput benchmark: one-shot odometry vs the session-backed estimator.
 
 Runs A-LOAM-style scan-to-scan odometry over a simulated KITTI-like
-drive three ways, under all three window-shard runtime backends:
+drive three ways, under the serial, thread and forked ``shm``
+window-shard runtime backends:
 
 * ``oneshot`` — the **per-scan-rebuild baseline** (the seed behaviour
   this repo started from): a fresh
@@ -35,7 +36,6 @@ the repo root (override with ``--output``) plus a text table under
 from __future__ import annotations
 
 import argparse
-import json
 import os
 
 import numpy as np
@@ -52,11 +52,11 @@ from repro.registration.features import FeatureConfig, extract_features
 from repro.registration.icp import gauss_newton_align
 from repro.runtime import resolve_worker_count
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, time_best, write_payload
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_odometry.json")
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread", "shm")
 #: The paper's registration splitting: serial 4 chunks, width-2 window.
 _SPLITTING = SplittingConfig(shape=(4, 1, 1), kernel=(2, 1, 1),
                              mode="serial")
@@ -205,10 +205,7 @@ def run(n_scans=6, n_azimuth=240, n_beams=8, max_iterations=4,
         "best_warm_over_batched": max(r["warm_over_batched"]
                                       for r in results),
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    write_payload(output, payload)
     lines = [f"{'backend':8s} {'eff(1/b/w)':22s} {'oneshot':>8s} "
              f"{'batched':>8s} {'warm':>8s} {'w/1shot':>8s} "
              f"{'w/batch':>8s} {'recal':>6s} {'hits':>6s}"]

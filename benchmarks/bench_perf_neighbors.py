@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import heapq
-import json
 import os
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.core.config import SplittingConfig, StreamGridConfig, \
 from repro.core.cotraining import GroupingContext, baseline_config, \
     cs_config, cs_dt_config
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, time_best, write_payload
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_neighbors.json")
 
@@ -229,10 +228,7 @@ def run(n_points=4096, n_queries=512, k=32, radius=0.125,
         "results": results,
         "min_speedup": min(r["speedup"] for r in results),
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    write_payload(output, payload)
     lines = [f"{'variant':8s} {'op':12s} {'seed_s':>10s} "
              f"{'batched_s':>10s} {'speedup':>8s}"]
     for row in results:

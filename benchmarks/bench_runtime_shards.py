@@ -1,14 +1,12 @@
-"""Throughput benchmark: serial vs thread vs process vs shm shards.
+"""Throughput benchmark: serial vs thread vs shm shards.
 
 Times ``CompulsorySplitter`` batch dispatch on many-window
 configurations (a serial-mode 8-window split and a spatial 16-window
-split) under the four window-shard runtime backends
+split) under the three dedicated window-shard runtime backends
 (:mod:`repro.runtime`): the inline ``SerialExecutor``, the
-``ThreadExecutor`` thread pool, the ``ProcessShardPool`` that pins
-window ids to forked workers with the kd-tree / chunk state shipped
-once per worker, and the zero-copy ``ShmShardPool`` that stages window
-state in shared-memory segments workers attach to instead of
-re-forking.  Two operations are measured per backend:
+``ThreadExecutor`` thread pool, and the forked ``ShmShardPool`` that
+pins window ids to worker processes attached to window state staged in
+shared-memory segments.  Two operations are measured per backend:
 
 * ``knn`` — uncapped kNN (per-window vectorized scan engine);
 * ``knn_capped`` — deadline-capped kNN (per-window lockstep traversal).
@@ -19,10 +17,10 @@ steps, terminated) — the runtime must be a pure *where-it-runs* change.
 
 Worker counts auto-resolve from the CPU count unless ``--workers`` pins
 them, with a floor of two for the pooled backends so the thread pool
-and the forked process pool are genuinely exercised even on single-core
-hosts (where shards timeshare one core, so the honest expectation is
+and the forked pool are genuinely exercised even on single-core hosts
+(where shards timeshare one core, so the honest expectation is
 ≈ 1.0x minus IPC overhead, not a win).  Each row records the
-``effective`` backend, and the headline pool/serial ratios count only
+``effective`` backend, and the headline shm/serial ratio counts only
 rows that actually ran the forked pool — fallback rows can never
 masquerade as a sharding measurement.
 
@@ -36,7 +34,6 @@ output.  Emits ``BENCH_runtime.json`` at the repo root (override with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 
 import numpy as np
@@ -47,14 +44,11 @@ from repro.core.splitting import CompulsorySplitter
 from repro.runtime import resolve_worker_count
 from repro.spatial import KDTree
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, time_best, write_payload
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_runtime.json")
 
-BACKENDS = ("serial", "thread", "process", "shm")
-#: Pooled backends whose speed-up over serial is reported (fallback
-#: rows excluded via the per-row ``effective`` record).
-POOLED = ("process", "shm")
+BACKENDS = ("serial", "thread", "shm")
 
 
 def _configs():
@@ -150,7 +144,7 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
     queries = positions[rng.choice(n_points, size=n_queries,
                                    replace=False)]
     # Floor the pooled backends at two workers so the thread pool and
-    # the forked process pool are genuinely measured even where the CPU
+    # the forked pool are genuinely measured even where the CPU
     # count auto-resolves to one (fallback rows are excluded from the
     # headline ratio regardless — see below).
     pool_workers = workers if workers is not None \
@@ -199,35 +193,28 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
         return None
 
     # Only rows that genuinely exercised the forked pool count toward
-    # the headlines — a serial-fallback row compared against serial is
+    # the headline — a serial-fallback row compared against serial is
     # timer noise, not a sharding measurement.
-    def _pool_ratios(pool_backend):
-        ratios = []
-        for config_name, _ in _configs():
-            for op in ("knn", "knn_capped"):
-                serial_row = _row(config_name, "serial", op)
-                pool_row = _row(config_name, pool_backend, op)
-                serial_tput = serial_row["throughput_qps"] if serial_row \
-                    else 0.0
-                pool_tput = pool_row["throughput_qps"] if pool_row \
-                    else 0.0
-                ratios.append({
-                    "config": config_name,
-                    "op": op,
-                    f"{pool_backend}_over_serial":
-                        pool_tput / serial_tput if serial_tput else 0.0,
-                    f"{pool_backend}_effective": bool(
-                        pool_row
-                        and pool_row["effective"] == pool_backend),
-                })
-        effective = [r[f"{pool_backend}_over_serial"] for r in ratios
-                     if r[f"{pool_backend}_effective"]]
-        best = max(effective) if effective else 0.0
-        return ratios, bool(effective), best
-
-    process_ratios, process_exercised, best_process = \
-        _pool_ratios("process")
-    shm_ratios, shm_exercised, best_shm = _pool_ratios("shm")
+    shm_ratios = []
+    for config_name, _ in _configs():
+        for op in ("knn", "knn_capped"):
+            serial_row = _row(config_name, "serial", op)
+            pool_row = _row(config_name, "shm", op)
+            serial_tput = serial_row["throughput_qps"] if serial_row \
+                else 0.0
+            pool_tput = pool_row["throughput_qps"] if pool_row else 0.0
+            shm_ratios.append({
+                "config": config_name,
+                "op": op,
+                "shm_over_serial":
+                    pool_tput / serial_tput if serial_tput else 0.0,
+                "shm_effective": bool(pool_row
+                                      and pool_row["effective"] == "shm"),
+            })
+    effective = [r["shm_over_serial"] for r in shm_ratios
+                 if r["shm_effective"]]
+    shm_exercised = bool(effective)
+    best_shm = max(effective) if effective else 0.0
     grouping = _grouping_comparison(repeats, n_points=n_points,
                                     n_queries=n_queries,
                                     size=max(4, min(32, 2 * k)))
@@ -238,20 +225,13 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
                      "workers": workers, "pool_workers": pool_workers,
                      "cpu_count": os.cpu_count()},
         "results": results,
-        "process_over_serial": process_ratios,
-        "process_pool_exercised": process_exercised,
-        "best_process_over_serial": best_process,
-        "process_ge_serial": process_exercised and best_process >= 1.0,
         "shm_over_serial": shm_ratios,
         "shm_pool_exercised": shm_exercised,
         "best_shm_over_serial": best_shm,
         "shm_ge_serial": shm_exercised and best_shm >= 1.0,
         "grouping": grouping,
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    write_payload(output, payload)
     lines = [f"{'config':12s} {'win':>4s} {'backend':8s} {'eff':8s} "
              f"{'op':11s} {'best_s':>9s} {'q/s':>10s}"]
     for row in results:
@@ -259,11 +239,6 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
             f"{row['config']:12s} {row['windows']:4d} "
             f"{row['backend']:8s} {row['effective']:8s} {row['op']:11s} "
             f"{row['best_s']:9.4f} {row['throughput_qps']:10.0f}")
-    lines.append(
-        f"best process/serial throughput ratio (effective-process rows "
-        f"only): {best_process:.2f}x "
-        f"(>=1.0: {payload['process_ge_serial']}; "
-        f"pool exercised: {process_exercised})")
     lines.append(
         f"best shm/serial throughput ratio (effective-shm rows only): "
         f"{best_shm:.2f}x (>=1.0: {payload['shm_ge_serial']}; "

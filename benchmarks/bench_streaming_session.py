@@ -1,9 +1,10 @@
 """Throughput benchmark: cold per-frame rebuilds vs a warm StreamSession.
 
 Streams two multi-frame sequences through StreamGrid, on ≥ 8-window
-configurations under all four window-shard runtime backends (including
-the zero-copy ``shm`` pool, whose per-row ``state_bytes_shipped`` /
-``forks_avoided`` counters make the warm-ingest savings auditable):
+configurations under the three dedicated window-shard runtime backends
+(serial, thread, and the forked ``shm`` pool, whose per-row
+``state_bytes_shipped`` / ``forks_avoided`` counters make the
+warm-ingest savings auditable):
 
 * ``serial-8w`` — a **rolling LiDAR stream** (Lisco-style): frames are
   sliding windows over one continuous point stream, advancing by
@@ -47,7 +48,6 @@ pooled measurement.  Emits ``BENCH_streaming.json`` at the repo root
 from __future__ import annotations
 
 import argparse
-import json
 import os
 
 import numpy as np
@@ -68,11 +68,11 @@ from repro.datasets import (
 from repro.runtime import resolve_worker_count
 from repro.streaming import StreamSession
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, time_best, write_payload
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_streaming.json")
 
-BACKENDS = ("serial", "thread", "process", "shm")
+BACKENDS = ("serial", "thread", "shm")
 
 
 def _rolling_frames(n_frames, n_points, seed=7):
@@ -288,10 +288,7 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
             and row["config"] == "partial-9w"
             and len(row["bytes_per_frame"]) > 1),
     }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    write_payload(output, payload)
     lines = [f"{'config':12s} {'win':>4s} {'backend':8s} {'eff(w/c)':14s} "
              f"{'cold_fps':>9s} {'warm_fps':>9s} {'warm/cold':>10s} "
              f"{'recal':>6s} {'fast':>5s} {'trees':>6s} {'clean':>6s} "

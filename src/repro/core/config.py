@@ -142,7 +142,7 @@ class StreamingSessionConfig:
     budget (seconds) one work unit may spend on an executor worker
     before the worker is presumed hung (``None`` disables hang
     detection); ``max_retries`` bounds same-backend re-dispatches of a
-    failing unit; ``degradation`` enables the process → thread → serial
+    failing unit; ``degradation`` enables the shm → thread → serial
     backend ladder once retries are exhausted.  ``on_error`` sets the
     session's frame-failure policy: ``"raise"`` re-raises (after
     rolling warm state back to the last good frame), ``"skip"``
@@ -227,9 +227,9 @@ class StreamGridConfig:
 
     ``executor`` selects the window-shard runtime backend every
     neighbour-search batch runs on (:mod:`repro.runtime`):
-    ``"serial"`` (inline loop), ``"thread"`` (shared-memory thread
-    pool), ``"process"`` (forked worker processes with window-id
-    affinity), ``"shm"`` (shared-memory segment transport), or
+    ``"serial"`` (inline loop), ``"thread"`` (thread pool over the
+    live state), ``"shm"`` (the forked worker pool: window-id affinity,
+    window trees and query blocks in shared-memory segments), or
     ``"fleet"`` (a lease on the process-global multi-tenant
     :class:`~repro.runtime.fleet.ShardFleet`).  Anything
     :func:`~repro.runtime.executor.resolve_executor` accepts — an

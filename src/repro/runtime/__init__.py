@@ -20,17 +20,15 @@ that implements:
   results **in unit order** (the scheduler relies on this to scatter
   results back in input order);
 * ``close()`` — release worker resources (idempotent);
-* ``reset_workers()`` — discard worker-held *snapshots* of the shard
-  state while keeping the executor itself warm (a no-op for backends
-  that read live state; the forked pool drops its workers and re-forks
-  on the next batch).  Frame-streaming callers invoke this after
-  mutating shard state in place;
+* ``reset_workers()`` — the shard state was mutated in place: drop
+  any worker-side copy of it while keeping the executor itself warm (a
+  no-op for backends that read live state; the forked pool marks every
+  exported window stale, a version bump).  Frame-streaming callers
+  invoke this after mutating shard state;
 * ``invalidate_windows(windows)`` — the per-window refinement of
-  ``reset_workers``: discard only the snapshots serving the given
-  windows (the forked pool stops just the workers those windows map to
-  under the affinity rule and re-forks them lazily).  Streaming callers
-  with dirty-window tracking use this so clean windows' workers stay
-  warm across frames;
+  ``reset_workers``: only the given windows changed (the forked pool
+  version-bumps just their segments).  Streaming callers with
+  dirty-window tracking use this so clean windows' state never moves;
 * ``name`` / ``effective`` — the requested backend name and the backend
   actually in force (they differ when a backend had to fall back);
 * ``fusion_slot(window) -> Optional[int]`` — arena-fusion eligibility:
@@ -61,40 +59,37 @@ pipelined-repair barriers are untouched.
 :class:`~repro.runtime.executor.RuntimeStats` counts
 ``arena_launches`` / ``arena_units_fused`` / ``arena_bytes_viewed``.
 
-Five interchangeable backends ship with the runtime:
+Four interchangeable backends ship with the runtime:
 
-* :class:`~repro.runtime.executor.SerialExecutor` — an inline loop, the
-  reference backend;
-* :class:`~repro.runtime.executor.ThreadExecutor` — a
+* :class:`~repro.runtime.executor.SerialExecutor` (``"serial"``) — an
+  inline loop, the reference backend;
+* :class:`~repro.runtime.executor.ThreadExecutor` (``"thread"``) — a
   ``concurrent.futures.ThreadPoolExecutor``; wins when the per-window
   kernels release the GIL (the vectorized scan / lockstep engines);
-* :class:`~repro.runtime.executor.ProcessShardPool` — forked worker
-  processes with the kd-tree / chunk state shipped **once per worker**
-  (inherited through ``fork``, never pickled per call); wins on the
-  GIL-bound scalar traversal kernels;
-* :class:`~repro.runtime.shm.ShmShardPool` (``executor="shm"``) — the
-  zero-copy refinement of the forked pool: window kd-trees live in
-  ``multiprocessing.shared_memory`` segments under a versioned
-  registry, workers **attach** instead of re-forking when state
-  changes, query blocks ship through one shared input segment per
-  batch, and fixed-width results come back through preallocated shared
-  output reservations.  ``reset_workers`` / ``invalidate_windows``
-  become registry version bumps (dirty windows are rewritten in place;
-  :class:`~repro.runtime.executor.RuntimeStats` counts the forks
-  avoided and bytes shipped), and every segment is unlinked on
-  ``close()`` / ``terminate_workers()`` / interpreter exit — no
-  ``/dev/shm`` leaks.  Supervision, fault injection, and the
-  degradation ladder carry over from the forked pool unchanged;
-* :class:`~repro.runtime.fleet.ShardFleet` (``executor="fleet"``) — the
+* :class:`~repro.runtime.shm.ShmShardPool` (``"shm"``) — the one forked
+  pool: supervised worker processes attached to shared-memory shard
+  state.  Window kd-trees live in ``multiprocessing.shared_memory``
+  segments under a versioned registry, workers **attach** instead of
+  re-forking when state changes, query blocks ship through one shared
+  input segment per batch, and fixed-width results come back through
+  preallocated shared output reservations.  ``reset_workers`` /
+  ``invalidate_windows`` are registry version bumps (dirty windows are
+  rewritten in place; :class:`~repro.runtime.executor.RuntimeStats`
+  counts the forks avoided and bytes shipped), and every segment is
+  unlinked on ``close()`` / ``terminate_workers()`` / interpreter exit
+  — no ``/dev/shm`` leaks.  The shard state must export its window
+  trees (``shm_export_window``); one that does not runs on the thread
+  backend instead (``effective == "thread"``);
+* :class:`~repro.runtime.fleet.ShardFleet` (``"fleet"``) — the
   **multi-tenant** backend: sessions acquire a
   :class:`~repro.runtime.fleet.FleetLease` on one process-global
-  supervised worker set (shared-memory inner transport by default)
-  instead of constructing a pool of their own.  Unit window ids are
-  rewritten into per-session namespaces
+  supervised worker set (an ``shm`` pool by default) instead of
+  constructing a pool of their own.  Unit window ids are rewritten
+  into per-session namespaces
   (:func:`~repro.runtime.fleet.namespaced_window`), so the segment
   registry, worker affinity, and fault targeting key on
   ``(session_id, window)`` and tenants can never touch each other's
-  snapshots; cross-tenant dispatch is EDF-ordered by each batch's
+  state; cross-tenant dispatch is EDF-ordered by each batch's
   calibrated step budget, with admission control
   (:class:`~repro.runtime.fleet.FleetConfig`: ``max_sessions``,
   per-tenant in-flight caps, shed-or-queue) and exact per-tenant
@@ -102,13 +97,13 @@ Five interchangeable backends ship with the runtime:
 
 The window-affinity sharding rule
 ---------------------------------
-:class:`ProcessShardPool` pins window ``w`` to worker ``w % n_workers``:
-every unit for a given window always lands on the same process, so a
-worker only ever warms the lazily-built traversal tables of *its*
-windows and repeated batches reuse that state.  Results are matched back
-to units by sequence number, preserving the two batch invariants —
-input-order stability of scattered results and step-count parity with
-the per-query reference — for every backend.
+:class:`~repro.runtime.shm.ShmShardPool` pins window ``w`` to worker
+``w % n_workers``: every unit for a given window always lands on the
+same process, so a worker only ever attaches (and caches the rebuilt
+trees of) *its* windows and repeated batches reuse them.  Results are
+matched back to units by sequence number, preserving the two batch
+invariants — input-order stability of scattered results and
+step-count parity with the per-query reference — for every backend.
 
 Supervision and the degradation ladder
 --------------------------------------
@@ -120,8 +115,9 @@ detects worker *death* and, when ``unit_timeout`` is set, worker
 *hangs*, recovering by killing and respawning only the affected slot
 and re-dispatching that slot's unfinished units (per-dispatch tickets
 discard anything the killed worker still emitted).  Only after a unit
-exhausts its retries does the backend walk the degradation ladder —
-process → thread → serial, each rung logged and recorded in
+exhausts its retries — or the forked pool fails to stage a batch's
+shared-memory segments — does the backend walk the degradation ladder
+— shm → thread → serial, each rung logged and recorded in
 :class:`~repro.runtime.executor.FaultStats` — and only a failure on
 the serial rung raises :class:`~repro.errors.ExecutionError`.
 Deterministic input errors (:class:`~repro.errors.ValidationError`)
@@ -134,17 +130,19 @@ Subclass :class:`~repro.runtime.executor.Executor`, accept
 ``(state, n_workers=None, supervision=None, fault_stats=None)`` in the
 constructor, implement ``run`` / ``close``, and either register the
 class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
-name or pass the class (or a ready instance) directly as the
-``executor=`` knob — :func:`~repro.runtime.executor.resolve_executor`
-accepts a backend name, a factory callable, or an :class:`Executor`
-instance.
+name (it is then called as ``backend(state, n_workers,
+supervision=...)``) or pass a ready instance directly as the
+``executor=`` knob.  Any other callable is a *factory*: it is called
+exactly once as ``factory(state, n_workers)`` and must return an
+:class:`Executor`; an exception it raises (``TypeError`` included)
+surfaces unchanged.  :meth:`repro.runtime.faults.FaultInjector.executor`
+and :class:`~repro.runtime.fleet.ShardFleet` instances are factories.
 """
 
 from repro.runtime.executor import (
     EXECUTOR_BACKENDS,
     Executor,
     FaultStats,
-    ProcessShardPool,
     RuntimeStats,
     SerialExecutor,
     SupervisionConfig,
@@ -184,7 +182,6 @@ __all__ = [
     "EXECUTOR_BACKENDS",
     "Executor",
     "FaultStats",
-    "ProcessShardPool",
     "RuntimeStats",
     "SerialExecutor",
     "ShmShardPool",

@@ -23,9 +23,10 @@ un-targeted counters interleave across concurrent workers.
 Inline vs forked semantics: a real crash or hang only makes sense in a
 forked child (``os._exit`` / a long sleep the supervisor can kill).
 When the faulting unit runs in the supervisor's own process — serial
-or thread backends, or a pool that already degraded — ``crash`` and
-``hang`` raise :class:`InjectedFaultError` instead, which the
-supervisor handles through the same retry path.
+or thread backends, or an ``shm`` pool that already stepped down the
+shm → thread → serial ladder — ``crash`` and ``hang`` raise
+:class:`InjectedFaultError` instead, which the supervisor handles
+through the same retry path.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class FaultInjector:
             f"injected hang fault on window {unit.window} "
             "(inline execution: raising instead of stalling)")
 
-    def executor(self, backend="process"):
+    def executor(self, backend="shm"):
         """An ``executor=`` knob value that injects this object's faults.
 
         Returns a factory ``(state, n_workers) -> Executor`` building
@@ -210,10 +211,10 @@ class FaultyState:
     (``run_unit`` plus attribute passthrough, so scheduler helpers like
     ``window_is_empty`` — and the shared-memory export probes of
     :class:`repro.runtime.ShmShardPool` — keep working) and stays
-    fork-picklable as long as the wrapped state is.  Shm workers that
-    serve units from attached segments rather than the shipped state
-    unwrap ``state._injector`` so injected faults still fire on the
-    zero-copy path.
+    fork-picklable as long as the wrapped state is.  The forked pool's
+    workers serve units from attached segments rather than the state,
+    so the pool hands them ``state._injector`` and injected faults
+    still fire on the zero-copy path.
     """
 
     def __init__(self, state, injector: FaultInjector) -> None:

@@ -38,7 +38,7 @@ sharing safe and fair:
 
 Failure handling is **not** reinvented: the inner backend is an
 ordinary supervised executor (tickets, slot respawn, retries, the
-process → thread → serial degradation ladder of
+shm → thread → serial degradation ladder of
 :class:`~repro.runtime.executor.SupervisionConfig`), configured
 fleet-wide through :class:`FleetConfig`.  Fault injection composes the
 same way as everywhere else — pass
@@ -164,11 +164,10 @@ class _FleetState:
     The single state object the inner executor is bound to.  Attached
     per-session states are the scheduler-level adapters
     (:class:`~repro.runtime.scheduler.WeakShardState`), so this registry
-    never keeps a dropped session's index alive.  Fork-safety: the
-    registry dict rides into forked workers by copy-on-write; states
-    attached *after* a fork are invisible there, which the fleet handles
-    by resetting workers whose backend actually consults the snapshot
-    (see :meth:`~repro.runtime.executor.Executor.holds_forked_state`).
+    never keeps a dropped session's index alive.  Forked workers never
+    consult this registry: the inner pool exports each namespaced
+    window's tree from the parent at dispatch time, so a tenant
+    attached after the workers forked needs no re-fork.
     """
 
     def __init__(self) -> None:
@@ -205,9 +204,6 @@ class _FleetState:
     def window_is_empty(self, ns_window: int) -> bool:
         state, window = self._route(int(ns_window))
         return state.window_is_empty(window)
-
-    def supports_shm_export(self) -> bool:
-        return True
 
     def shm_export_window(self, ns_window: int):
         state, window = self._route(int(ns_window))
@@ -324,7 +320,7 @@ class FleetLease(Executor):
 
 #: Live fleets, swept at interpreter exit: an un-``shutdown()`` fleet
 #: must leak neither its inner workers nor their shm segments.  (The
-#: inner pool is additionally covered by the executor module's
+#: inner pool is additionally covered by the shm module's
 #: ``_LIVE_POOLS`` sweep; this one also clears lease bookkeeping.)
 _LIVE_FLEETS: "weakref.WeakSet" = weakref.WeakSet()
 
@@ -444,14 +440,6 @@ class ShardFleet:
                 "fleet-wide SupervisionConfig governs recovery")
         with self._exclusive():
             self._state.attach(session_id, state)
-            inner = self._inner
-            if inner is not None and inner.holds_forked_state():
-                # Live workers hold a forked registry snapshot that
-                # predates this tenant; drop them so the next batch
-                # re-forks with the full registry.  (The shm pool in
-                # export mode returns False here — its workers attach
-                # state by segment name at dispatch time.)
-                inner.reset_workers()
         logger.debug("ShardFleet: admitted session %d", session_id)
         return lease
 

@@ -41,7 +41,8 @@ class WeakShardState:
 
     Dereferencing is always safe in practice: every access happens
     inside a batch call on the owner, so the owner is alive on the call
-    stack (and forked workers hold their own cloned copy of it).
+    stack (forked workers never dereference it — they attach exported
+    segments instead).
     """
 
     def __init__(self, state) -> None:
@@ -191,9 +192,6 @@ class SingleWindowState:
 
     def window_size(self, window: int) -> int:
         return len(self.tree)
-
-    def supports_shm_export(self) -> bool:
-        return True
 
     def shm_export_window(self, window: int):
         """Packed tree arrays for the shared-memory backend."""

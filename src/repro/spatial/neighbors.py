@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -306,15 +305,15 @@ class ChunkedIndex:
     buckets a query block by serving window and routes each window's
     sub-batch through the window-shard runtime (:mod:`repro.runtime`);
     the ``executor`` knob selects the backend (``"serial"``,
-    ``"thread"``, ``"process"``), and results are scattered back in
-    input order whichever backend runs them.
+    ``"thread"``, ``"shm"``, ``"fleet"``), and results are scattered
+    back in input order whichever backend runs them.
 
     The chunk→window LUT, per-window membership, and per-window kd-trees
     are built lazily and invalidated on any mutation of chunk membership
     (:meth:`reassign_points` / :meth:`set_assignment` /
     :meth:`invalidate`), so cached worker state can never go stale: a
     mutation tears down the runtime and the next batch rebuilds — and
-    re-ships — fresh shard state.  Frame streams use
+    re-exports — fresh shard state.  Frame streams use
     :meth:`update_frame` instead: it detects the *dirty* windows (those
     whose member coordinates actually moved), repairs only them, and
     invalidates only their workers.  Every window carries a coordinate
@@ -354,7 +353,6 @@ class ChunkedIndex:
         self.pipeline_repair = pipeline_repair
         self._pending_repairs: Dict[int, object] = {}
         self._repair_pool = None
-        self._repair_pid: Optional[int] = None
         self._window_of_chunk_cache: Optional[Dict[int, tuple]] = None
         self._window_lut_cache: Optional[np.ndarray] = None
         self._members_cache: Optional[List[np.ndarray]] = None
@@ -472,7 +470,7 @@ class ChunkedIndex:
     def invalidate(self) -> None:
         """Drop the LUT / membership / tree caches and the runtime.
 
-        Any executor workers holding forked copies of the old state are
+        The runtime (and any worker pool with its exported segments) is
         shut down; the next batch call rebuilds everything from the
         current chunk assignment.
         """
@@ -513,11 +511,11 @@ class ChunkedIndex:
         The warm path of :class:`repro.streaming.StreamSession`: unlike
         :meth:`set_assignment` (which tears the whole runtime down),
         this keeps the :class:`~repro.runtime.scheduler.WindowScheduler`
-        — and any live thread pool — alive for the session's lifetime
-        and only asks the executor to drop worker-held *snapshots*
-        (forked processes re-fork from the new state on the next
-        batch; serial and thread backends read live state and keep
-        running untouched).
+        — and any live worker pool — alive for the session's lifetime
+        and only asks the executor to drop worker-side copies of the
+        changed windows (the forked pool version-bumps their segments
+        and re-exports them on the next batch; serial and thread
+        backends read live state and keep running untouched).
 
         When the new frame's chunk occupancy matches the previous
         frame's (same point count, identical chunk assignment, same
@@ -527,9 +525,9 @@ class ChunkedIndex:
         per-chunk rollup → per-window membership test) finds the windows
         whose member coordinates actually moved, and only those rebuild.
         Clean windows keep their kd-tree objects, content versions, and
-        — on the process backend — their workers' forked snapshots
+        — on the ``shm`` backend — their exported segments
         (:meth:`~repro.runtime.scheduler.WindowScheduler.invalidate_windows`
-        drops only the dirty windows' workers).  A dirty window whose
+        version-bumps only the dirty windows).  A dirty window whose
         new coordinates are *identical* to some previous window's (the
         rolling-stream case: a sliding frame advancing by whole chunks
         shifts window ``w``'s content into window ``w - 1``) reuses that
@@ -679,14 +677,12 @@ class ChunkedIndex:
         :meth:`update_frame`, so version draw order, reuse counters, and
         cache keys are identical to the serial path.  ``KDTree`` build
         is a deterministic function of the coordinates, so resolving a
-        pending build later (or rebuilding in a forked worker) is
-        bit-equal to building inline.
+        pending build later is bit-equal to building inline.
         """
         if self._repair_pool is None:
             from concurrent.futures import ThreadPoolExecutor
             self._repair_pool = ThreadPoolExecutor(
                 max_workers=2, thread_name_prefix="repro-repair")
-        self._repair_pid = os.getpid()
         for window, points in repairs.items():
             self._pending_repairs[window] = \
                 self._repair_pool.submit(KDTree, points)
@@ -694,18 +690,13 @@ class ChunkedIndex:
     def _tree_for(self, window: int) -> Optional[KDTree]:
         """The window's tree, resolving a pending repair on demand.
 
-        In a *forked* executor worker the builder threads (and their
-        futures) did not survive the fork, so waiting would deadlock;
-        the worker instead rebuilds deterministically from its own copy
-        of the coordinates — bit-equal to the parent's build.
+        Always runs in this process: the forked pool's workers attach
+        the trees :meth:`shm_export_window` exported, never this index.
         """
         future = self._pending_repairs.get(window)
         if future is None:
             return self._trees[window]
-        if self._repair_pid != os.getpid():
-            tree = KDTree(self.positions[self._members[window]])
-        else:
-            tree = future.result()
+        tree = future.result()
         self._pending_repairs.pop(window, None)
         self._trees_cache[window] = tree
         return tree
@@ -838,11 +829,12 @@ class ChunkedIndex:
     def run_unit(self, unit: WorkUnit):
         """Shard-state protocol: answer one window's work unit.
 
-        Runs in executor workers (forked copies of this index included);
-        results are window-local — the parent remaps indices through the
-        window's member table when scattering.  Fused arena units carry
-        their member windows in ``params["windows"]`` and come back as
-        one window-local result per member.
+        Runs inline or on executor threads (the forked pool's workers
+        run units on the trees :meth:`shm_export_window` exports
+        instead); results are window-local — the parent remaps indices
+        through the window's member table when scattering.  Fused arena
+        units carry their member windows in ``params["windows"]`` and
+        come back as one window-local result per member.
         """
         if unit.kind in ("fused_knn", "fused_range"):
             trees = [self._tree_for(int(w))

@@ -14,8 +14,9 @@ frame over frame:
   :class:`~repro.runtime.scheduler.WindowScheduler` (and any thread
   pool) lives for the whole session; frames arrive through
   :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`, which
-  only asks the executor to drop worker-held state *snapshots* (the
-  forked process pool re-forks lazily from the new frame's state);
+  only asks the executor to version-bump the changed windows (the
+  ``shm`` pool re-exports just their segments; its workers stay
+  resident);
 * **drift-gated deadline calibration** — the termination deadline is
   profiled on frame 0 (uncapped traversals through the session's own
   windowed trees) and re-profiled only when a cheap per-frame drift
@@ -27,8 +28,8 @@ frame over frame:
   membership, and rebuild *only the windows whose member coordinates
   actually moved* (a vectorized per-window change detector in
   :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`); clean
-  windows keep their kd-tree objects — and, on the process backend,
-  their workers' forked snapshots — while a dirty window whose
+  windows keep their kd-tree objects — and, on the ``shm`` backend,
+  their exported segments — while a dirty window whose
   coordinates are *identical* to some previous window's (a rolling
   stream advancing by whole chunks slides window ``w + 1``'s content
   into window ``w``) reuses that tree outright (bit-exact: tree

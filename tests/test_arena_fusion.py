@@ -43,7 +43,7 @@ from repro.spatial.neighbors import WindowResultCache
 from repro.streaming import StreamSession
 
 WORKERS = 2
-BACKENDS = ["serial", "thread", "process", "shm", "fleet"]
+BACKENDS = ["serial", "thread", "shm", "fleet"]
 
 
 @pytest.fixture(autouse=True)
@@ -332,7 +332,7 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
     pts = np.random.default_rng(7).uniform(0, 1, size=(400, 3))
     queries = np.random.default_rng(8).uniform(0, 1, size=(120, 3))
     injector = FaultInjector([FaultSpec(kind="crash", window=0)])
-    index, grid = _windowed_index(pts, injector.executor("process"),
+    index, grid = _windowed_index(pts, injector.executor("shm"),
                                   supervision=SupervisionConfig(
                                       unit_timeout=5.0))
     chunks = grid.assign(queries)
@@ -340,7 +340,7 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
         got = index.query_knn_batch(queries, chunks, 4, max_steps=18)
         _assert_matches_oracle(got, _scalar_oracle(
             index, queries, chunks, "knn", k=4, max_steps=18))
-        if index.effective_executor != "process":
+        if index.effective_executor != "shm":
             pytest.skip("fork unavailable; pool fell back")
         assert injector.fire_counts == [1]
         assert index.fault_stats.retries == 1

@@ -42,8 +42,7 @@ def test_bench_fleet_service_smoke(tmp_path):
         # Honest effective executors: fleet rows must report the
         # fleet's shm inner, dedicated rows their private pools.
         assert row["fleet_effective"] == ["fleet:shm"] * row["sessions"]
-        assert row["dedicated_effective"] == \
-            ["process"] * row["sessions"]
+        assert row["dedicated_effective"] == ["shm"] * row["sessions"]
         # Nothing was shed on a clean run.
         assert row["fleet_shed"] == 0
         assert len(row["tenants"]) == row["sessions"]

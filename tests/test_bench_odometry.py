@@ -11,6 +11,7 @@ never overwrite tracked results.
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -25,7 +26,7 @@ def test_bench_odometry_session_smoke(tmp_path):
     payload = bench_odometry_session.smoke(tmp_output=output)
     assert os.path.exists(output)
     backends = [row["backend"] for row in payload["results"]]
-    assert backends == ["serial", "thread", "process"]
+    assert backends == ["serial", "thread", "shm"]
     n_scans = payload["workload"]["n_scans"]
     for row in payload["results"]:
         for mode in ("oneshot", "batched", "warm"):
@@ -33,7 +34,7 @@ def test_bench_odometry_session_smoke(tmp_path):
             assert row[f"{mode}_sps"] == pytest.approx(
                 n_scans / row[f"{mode}_s"])
             assert row[f"{mode}_effective"] in ("serial", "thread",
-                                                "process")
+                                                "shm")
         assert row["warm_over_oneshot"] == pytest.approx(
             row["oneshot_s"] / row["warm_s"])
         assert row["warm_over_batched"] == pytest.approx(
@@ -59,3 +60,4 @@ def test_bench_odometry_session_smoke(tmp_path):
     # per-point one-shot, batched one-shot, and the warm session all
     # chained identical poses at the pinned deadline on every backend.
     assert payload["workload"]["n_scans"] == 3
+    assert payload["host"]["numpy"] == np.__version__

@@ -25,17 +25,16 @@ from repro.runtime import (
     FaultSpec,
     FaultyState,
     InjectedFaultError,
-    ProcessShardPool,
     SupervisionConfig,
     WorkUnit,
     resolve_executor,
 )
-from repro.runtime.executor import _LIVE_POOLS, _terminate_orphaned_pools
+from repro.runtime.shm import _LIVE_POOLS, _terminate_orphaned_pools
 from repro.spatial import ChunkGrid, ChunkedIndex, chunk_windows
 from repro.streaming import StreamSession
 
 WORKERS = 2
-BACKENDS = ["serial", "thread", "process", "shm"]
+BACKENDS = ["serial", "thread", "shm"]
 
 
 # ----------------------------------------------------------------------
@@ -99,15 +98,14 @@ def test_fault_matrix_bit_equal(rng, backend, kind):
     else:
         assert stats.retries == 1
         assert stats.degradations == []
-    if (backend in ("process", "shm")
-            and index.effective_executor in ("process", "shm")):
+    if backend == "shm" and index.effective_executor == "shm":
         if kind in ("crash", "hang"):
             assert stats.respawns == 1
         assert stats.timeouts == (1 if kind == "hang" else 0)
     index.close()
 
 
-def test_exact_counter_accounting_process(rng):
+def test_exact_counter_accounting_shm(rng):
     """One crash + one hang + one in-unit raise → exactly accounted."""
     want = _reference(np.random.default_rng(42))
     injector = FaultInjector([
@@ -120,12 +118,12 @@ def test_exact_counter_accounting_process(rng):
     # targeting any member of a fused unit matches the whole launch,
     # and specs sharing a slot would no longer fire once each.
     index, pts, assignment = _index(
-        np.random.default_rng(42), executor=injector.executor("process"),
+        np.random.default_rng(42), executor=injector.executor("shm"),
         supervision=SupervisionConfig(unit_timeout=1.5), workers=3)
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
-    if index.effective_executor != "process":
+    if index.effective_executor != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     assert injector.fire_counts == [1, 1, 1]
@@ -134,16 +132,16 @@ def test_exact_counter_accounting_process(rng):
     assert stats.timeouts == 1          # the hang
     assert stats.respawns == 2          # the crash and the hang
     assert stats.degradations == []
-    assert index.effective_executor == "process"
+    assert index.effective_executor == "shm"
     assert index.runtime_stats.arena_launches >= 1
     index.close()
 
 
 def test_degradation_ladder_exhausts_to_serial(rng):
-    """A persistent fault walks process → thread → serial, bit-equal.
+    """A persistent fault walks shm → thread → serial, bit-equal.
 
     With ``max_retries=0`` each rung gets one attempt; a fault firing
-    twice burns the process and thread rungs and the serial rung
+    twice burns the shm and thread rungs and the serial rung
     completes.  The ladder steps are recorded in order and the pool
     stays on the last rung for later batches (permanent fallback only
     after exhaustion — and here it *was* exhausted).
@@ -151,17 +149,17 @@ def test_degradation_ladder_exhausts_to_serial(rng):
     want = _reference(np.random.default_rng(7))
     injector = FaultInjector([FaultSpec(kind="raise", window=4, times=2)])
     index, pts, assignment = _index(
-        np.random.default_rng(7), executor=injector.executor("process"),
+        np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
     stats = index.fault_stats
-    assert stats.degradations == ["process->thread", "thread->serial"]
+    assert stats.degradations == ["shm->thread", "thread->serial"]
     assert index.effective_executor == "serial"
     # Later batches stay on the exhausted rung and still match.
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
@@ -174,7 +172,7 @@ def test_exhausted_serial_rung_raises_execution_error(rng):
     """A fault outliving every rung surfaces as ExecutionError."""
     injector = FaultInjector([FaultSpec(kind="raise", window=4, times=50)])
     index, pts, assignment = _index(
-        np.random.default_rng(7), executor=injector.executor("process"),
+        np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
     with pytest.raises(ExecutionError):
         index.query_knn_batch(pts[::3], assignment[::3], 4, max_steps=20)
@@ -184,7 +182,7 @@ def test_exhausted_serial_rung_raises_execution_error(rng):
 def test_degradation_disabled_raises(rng):
     injector = FaultInjector([FaultSpec(kind="raise", window=4, times=50)])
     index, pts, assignment = _index(
-        np.random.default_rng(7), executor=injector.executor("process"),
+        np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, degradation=False))
     with pytest.raises(ExecutionError):
         index.query_knn_batch(pts[::3], assignment[::3], 4, max_steps=20)
@@ -218,10 +216,10 @@ def test_validation_error_is_never_retried(rng):
 def test_stale_ticket_results_are_discarded(rng):
     """A late result from a killed worker can never scatter wrong seqs."""
     index, pts, assignment = _index(np.random.default_rng(3),
-                                    executor="process")
+                                    executor="shm")
     index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     # Forge a stale result: its ticket can never match a live dispatch.
@@ -236,14 +234,14 @@ def test_stale_ticket_results_are_discarded(rng):
 def test_orphaned_outbox_lock_stays_on_its_slot(rng):
     """A worker killed while its queue feeder holds the outbox's write
     lock leaves that lock held for good.  Each slot owns its outbox and
-    a respawn replaces it, so the batch recovers on the process backend
+    a respawn replaces it, so the batch recovers on the shm backend
     instead of stalling every worker's results."""
     index, pts, assignment = _index(
-        np.random.default_rng(11), executor="process",
+        np.random.default_rng(11), executor="shm",
         supervision=SupervisionConfig(unit_timeout=2.0))
     index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     # Orphan slot 0's outbox lock the way a kill mid-write does: a
@@ -258,17 +256,17 @@ def test_orphaned_outbox_lock_stays_on_its_slot(rng):
                                 max_steps=20)
     _assert_batches_equal(got, _reference(np.random.default_rng(11)))
     assert index.fault_stats.degradations == []
-    assert index.effective_executor == "process"
+    assert index.effective_executor == "shm"
     index.close()
 
 
 def test_atexit_sweep_terminates_orphans(rng):
     """The atexit sweep hard-stops un-close()d pools' children."""
     index, pts, assignment = _index(np.random.default_rng(3),
-                                    executor="process")
+                                    executor="shm")
     index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     assert pool in _LIVE_POOLS
@@ -319,6 +317,54 @@ def test_shm_crash_respawn_reattaches_segments(rng):
     for name in names:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+
+def test_shm_staging_failure_degrades_to_thread(rng, monkeypatch):
+    """A segment-creation OSError mid-staging is one recorded ladder
+    step (shm -> thread): results stay bit-equal and no segment the
+    failed batch created survives in /dev/shm."""
+    import glob
+    import os
+    from multiprocessing import shared_memory
+
+    import repro.runtime.shm as shm_mod
+
+    real = shared_memory.SharedMemory
+    created = []
+
+    def flaky(name=None, create=False, size=0):
+        if create and len(created) == 2:
+            raise OSError(28, "No space left on device")
+        seg = real(name=name, create=create, size=size)
+        if create:
+            created.append(seg.name)
+        return seg
+
+    pattern = f"/dev/shm/repro-{os.getpid()}-*"
+    before = set(glob.glob(pattern))
+    want = _reference(np.random.default_rng(5))
+    index, pts, assignment = _index(np.random.default_rng(5),
+                                    executor="shm")
+    pool = index._runtime().executor
+    if pool.effective != "shm":
+        index.close()
+        pytest.skip("fork unavailable; pool fell back to serial")
+    # Two window segments stage, the third creation fails.
+    monkeypatch.setattr(shm_mod.shared_memory, "SharedMemory", flaky)
+    got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                max_steps=20)
+    _assert_batches_equal(got, want)
+    assert len(created) == 2
+    assert index.fault_stats.degradations == ["shm->thread"]
+    assert index.fault_stats.retries == 0
+    assert index.effective_executor == "thread"
+    assert not any(os.path.exists(f"/dev/shm/{name}") for name in created)
+    assert set(glob.glob(pattern)) <= before
+    # Later batches stay on the thread rung, still bit-equal.
+    got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                max_steps=20)
+    _assert_batches_equal(got, want)
+    index.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Executor-independence of the window-shard runtime.
 
 Mirror of ``test_spatial_batch_equivalence``: whichever backend runs the
-per-window work units — serial loop, thread pool, forked process
-shards, or the zero-copy shared-memory pool — ``indices``,
+per-window work units — serial loop, thread pool, or the forked
+shared-memory pool — ``indices``,
 ``distances``, ``steps`` and ``terminated`` must be identical,
 including degenerate empty windows and single-window inputs.  The
-process/shm tests pin ``executor_workers=2`` so real forked workers
+shm tests pin ``executor_workers=2`` so real forked workers
 run even on single-core CI machines (where auto-resolution falls back
 to serial by design).  Shared-memory specifics — segment hygiene on
 close, warm frames avoiding re-forks, pipelined repair equivalence —
@@ -24,9 +24,11 @@ from repro.core.cotraining import GroupingContext
 from repro.core.splitting import CompulsorySplitter
 from repro.errors import ValidationError
 from repro.runtime import (
-    ProcessShardPool,
+    EXECUTOR_BACKENDS,
     SerialExecutor,
+    ShmShardPool,
     SingleWindowState,
+    SupervisionConfig,
     ThreadExecutor,
     WindowScheduler,
     WorkUnit,
@@ -35,8 +37,8 @@ from repro.runtime import (
 from repro.spatial import ChunkedIndex, ChunkGrid, ChunkWindow, KDTree, \
     WindowedOp, chunk_windows
 
-BACKENDS = ["serial", "thread", "process", "shm"]
-#: Two workers so "thread"/"process"/"shm" genuinely parallelise on CI.
+BACKENDS = ["serial", "thread", "shm"]
+#: Two workers so "thread"/"shm" genuinely parallelise on CI.
 WORKERS = 2
 
 
@@ -286,13 +288,13 @@ def test_workunit_kind_validation(rng):
 
 
 # ----------------------------------------------------------------------
-# ProcessShardPool fallback behaviour (satellite: constrained CI)
+# ShmShardPool fallback behaviour (constrained CI, export-less states)
 # ----------------------------------------------------------------------
-def test_process_pool_falls_back_on_single_worker(rng, caplog):
+def test_shm_pool_falls_back_on_single_worker(rng, caplog):
     pts = rng.normal(size=(40, 3))
     state = SingleWindowState(KDTree(pts))
     with caplog.at_level("WARNING", logger="repro.runtime"):
-        pool = ProcessShardPool(state, n_workers=1)
+        pool = ShmShardPool(state, n_workers=1)
     assert pool.effective == "serial"
     assert "falling back to SerialExecutor" in caplog.text
     unit = WorkUnit(0, np.arange(3), "knn", pts[:3], {"k": 2})
@@ -302,17 +304,52 @@ def test_process_pool_falls_back_on_single_worker(rng, caplog):
     pool.close()
 
 
-def test_process_pool_falls_back_without_fork(rng, caplog, monkeypatch):
-    import repro.runtime.executor as executor_mod
+def test_shm_pool_falls_back_without_fork(rng, caplog, monkeypatch):
+    import repro.runtime.shm as shm_mod
 
-    monkeypatch.setattr(executor_mod.multiprocessing,
+    monkeypatch.setattr(shm_mod.multiprocessing,
                         "get_all_start_methods", lambda: ["spawn"])
     pts = rng.normal(size=(30, 3))
     state = SingleWindowState(KDTree(pts))
     with caplog.at_level("WARNING", logger="repro.runtime"):
-        pool = ProcessShardPool(state, n_workers=4)
+        pool = ShmShardPool(state, n_workers=4)
     assert pool.effective == "serial"
     assert "fork" in caplog.text
+
+
+class _ExportlessState:
+    """A custom shard state with no ``shm_export_window``: it answers
+    units over per-window trees but cannot export them."""
+
+    def __init__(self, trees):
+        self.trees = trees
+
+    def window_is_empty(self, window):
+        return False
+
+    def run_unit(self, unit):
+        return self.trees[unit.window].knn_batch(
+            unit.queries, unit.params["k"],
+            max_steps=unit.params.get("max_steps"))
+
+
+def test_exportless_state_runs_on_thread_rung(rng, caplog):
+    """A state that cannot export its window trees runs on the thread
+    rung of the one forked pool, bit-equal to serial."""
+    trees = [KDTree(rng.normal(size=(50, 3))) for _ in range(4)]
+    state = _ExportlessState(trees)
+    units = [WorkUnit(w, np.arange(6), "knn", rng.normal(size=(6, 3)),
+                      {"k": 3, "max_steps": 12}) for w in range(4)]
+    with caplog.at_level("WARNING", logger="repro.runtime"):
+        pool = resolve_executor("shm", state, WORKERS)
+    assert "does not export window trees" in caplog.text
+    assert pool.effective == "thread"
+    want = SerialExecutor(state).run(units)
+    got = pool.run(units)
+    for g, w in zip(got, want):
+        _assert_batches_equal(g, w)
+    assert pool.fault_stats.degradations == []
+    pool.close()
 
 
 def test_resolve_executor_rejects_unknown_backend(rng):
@@ -323,7 +360,58 @@ def test_resolve_executor_rejects_unknown_backend(rng):
     assert isinstance(resolve_executor("thread", state, 2), ThreadExecutor)
 
 
+def test_fallback_honours_supervision_attached_late(rng):
+    """A factory-built pool gets its supervision from resolve_executor
+    after construction; its fallback rung must obey it (no retries
+    here, so the first failure surfaces)."""
+    from repro.errors import ExecutionError
+
+    state = _ExportlessState([KDTree(rng.normal(size=(30, 3)))] * 2)
+    calls = []
+
+    def flaky_once(unit):
+        calls.append(unit.window)
+        if len(calls) == 1:
+            raise RuntimeError("transient")
+        return _ExportlessState.run_unit(state, unit)
+
+    state.run_unit = flaky_once
+    units = [WorkUnit(w, np.arange(2), "knn", rng.normal(size=(2, 3)),
+                      {"k": 2}) for w in range(2)]
+    pool = resolve_executor(lambda st, n: ShmShardPool(st, n), state,
+                            WORKERS, SupervisionConfig(max_retries=0,
+                                                       degradation=False))
+    assert pool.effective == "thread"
+    with pytest.raises(ExecutionError):
+        pool.run(units)
+    pool.close()
+
+
+def test_resolve_executor_calls_factory_once(rng, monkeypatch):
+    """A factory (or registered backend) that raises ``TypeError``
+    internally is called exactly once and its error surfaces as is."""
+    state = SingleWindowState(KDTree(rng.normal(size=(10, 3))))
+    calls = []
+
+    def factory(state, n_workers):
+        calls.append(n_workers)
+        raise TypeError("factory bug")
+
+    with pytest.raises(TypeError, match="factory bug"):
+        resolve_executor(factory, state, 2)
+    assert calls == [2]
+    calls.clear()
+    monkeypatch.setitem(EXECUTOR_BACKENDS, "flaky",
+                        lambda state, n_workers, supervision=None:
+                        factory(state, n_workers))
+    with pytest.raises(TypeError, match="factory bug"):
+        resolve_executor("flaky", state, 3)
+    assert calls == [3]
+
+
 def test_config_rejects_unknown_executor():
+    with pytest.raises(ValidationError):
+        StreamGridConfig(executor="process")
     with pytest.raises(ValidationError):
         StreamGridConfig(executor="warp-drive")
     with pytest.raises(ValidationError):
